@@ -301,9 +301,12 @@ def fit_dwell_time(acf, dt: float, occupancy: float) -> DwellEstimate:
     crossing = np.flatnonzero(af < np.exp(-1.0))
     tau0 = tf[int(crossing[0])] if crossing.size else tf[-1]
     tau0 = max(tau0, dt)
-    (tau_corr,), _ = curve_fit(
-        lambda tt, tau: np.exp(-tt / tau), tf, af, p0=[tau0], maxfev=2000
-    )
+    try:
+        (tau_corr,), _ = curve_fit(
+            lambda tt, tau: np.exp(-tt / tau), tf, af, p0=[tau0], maxfev=2000
+        )
+    except RuntimeError as exc:  # least squares ran out of evaluations
+        raise FitDiverged(str(exc)) from exc
     rmse = float(np.sqrt(np.mean((np.exp(-tf / tau_corr) - af) ** 2)))
 
     span = t[-1] + dt  # longest scale this ACF can witness

@@ -6,8 +6,17 @@ with probability (1 + tanh(I_i)) / 2 where I_i = i0 * (h_i + sum_j J_ij m_j),
 which is exactly the Gibbs conditional of the energy
 E(m) = -i0 * (sum_i h_i m_i + sum_{i<j} J_ij m_i m_j); sequential
 random-permutation sweeps therefore sample the Boltzmann distribution that
-boltzmann_exact enumerates.  Simultaneous parallel updates are deliberately
-not offered: they break detailed balance on these graphs.
+boltzmann_exact enumerates.  Updating uncoupled nodes together, one colour
+class of a graph colouring at a time, is still exact Gibbs sampling (Aadit
+et al., Nat. Electron. 5, 460, 2022); updating coupled nodes simultaneously
+is not, so only sequential sweeps are offered.
+
+For circuits of at most 8 nodes, so that a word fits in one byte, gibbs_run
+never evaluates the activation inside the chain.  It tabulates the update
+probability of every node in every word once, turns each sweep's random
+permutation and uniform draws into a map word -> word over all 2**n words,
+and walks those maps from the current word.  That is the same chain with
+the same draws as updating node by node, which larger circuits still do.
 
 Histogram words follow the convention bit = (m + 1) / 2 with node 0 (A) as
 the most significant bit.
@@ -26,6 +35,7 @@ from .device import TransferCurve, fit_sigmoid
 ENUMERATION_LIMIT = 20  # exact oracle enumerates at most 2**20 states
 
 _SWEEP_BLOCK = 16384  # fixed block size keeps the draw sequence reproducible
+_MAP_NODES = 8  # gibbs_run walks per-sweep maps while a word fits in one byte
 
 
 class PCircuitError(Exception):
@@ -227,56 +237,111 @@ def gibbs_run(
         raise ValueError("n_sweeps must be >= 1")
     if burn_in < 0:
         raise ValueError("burn_in must be >= 0")
-    free = c.free_nodes
-    if not free:
+    if not c.free_nodes:
         raise AllClamped("no free node to update")
-    n, nf = c.n, len(free)
+    run = _gibbs_maps if c.n <= _MAP_NODES else _gibbs_loop
+    return run(c, act, n_sweeps, burn_in, seed)
+
+
+def _start(c: PCircuit, seed):
+    """Generator and initial word of a run: clamped bits set, free bits drawn."""
     rng = np.random.default_rng(seed)
+    word = sum(1 << (c.n - 1 - node) for node, value in c.clamps.items() if value > 0)
+    for node, bit in zip(c.free_nodes, rng.integers(0, 2, len(c.free_nodes))):
+        word |= int(bit) << (c.n - 1 - node)
+    return rng, word
 
-    m = [0] * n
-    for node, value in c.clamps.items():
-        m[node] = value
-    init = rng.integers(0, 2, nf)
-    for idx, node in enumerate(free):
-        m[node] = int(init[idx]) * 2 - 1
 
-    # Python-level caches keep the inner loop free of numpy scalar overhead.
-    i0 = float(c.i0)
-    bias = [i0 * float(c.h[i]) for i in range(n)]
-    rows = [
-        [(j, i0 * float(c.j[i, j])) for j in range(n) if c.j[i, j] != 0.0]
-        for i in range(n)
-    ]
-    bit_flip = [1 << (n - 1 - i) for i in range(n)]
-    word = 0
-    for i in range(n):
-        if m[i] > 0:
-            word |= bit_flip[i]
+def _sweep_blocks(rng, nf: int, total: int):
+    """Yield (first sweep, update orders, uniform draws) per block of sweeps.
 
-    prob = act.prob_high
-    counts: dict[int, int] = {}
-    total = burn_in + n_sweeps
-    done = 0
-    while done < total:
+    Both sampling paths draw through here, so they consume the same stream.
+    """
+    for done in range(0, total, _SWEEP_BLOCK):
         block = min(_SWEEP_BLOCK, total - done)
-        perms = rng.random((block, nf)).argsort(axis=1).tolist()
-        draws = rng.random((block, nf)).tolist()
-        for s in range(block):
-            perm = perms[s]
-            row_draws = draws[s]
-            for slot in range(nf):
-                node = free[perm[slot]]
-                acc = bias[node]
-                for j, w in rows[node]:
-                    acc += w * m[j]
-                new = 1 if row_draws[slot] < prob(acc) else -1
+        perms = rng.random((block, nf)).argsort(axis=1)
+        draws = rng.random((block, nf))
+        yield done, perms, draws
+
+
+def _local_fields(c: PCircuit):
+    """Python-float bias i0 * h_i and coupling rows [(j, i0 * J_ij)] per node."""
+    i0 = float(c.i0)
+    bias = [i0 * float(c.h[i]) for i in range(c.n)]
+    rows = [
+        [(j, i0 * float(c.j[i, j])) for j in range(c.n) if c.j[i, j] != 0.0]
+        for i in range(c.n)
+    ]
+    return bias, rows
+
+
+def _field(bias: float, row: list, m: list) -> float:
+    """Input of one node: its bias plus each coupling term, left to right.
+
+    Both sampling paths use this accumulation order, so they compare the
+    same draws against bit-identical probabilities.
+    """
+    acc = bias
+    for j, w in row:
+        acc += w * m[j]
+    return acc
+
+
+def _gibbs_maps(c: PCircuit, act, n_sweeps: int, burn_in: int, seed) -> StateHistogram:
+    """gibbs_run for circuits of at most 8 nodes, by per-sweep word maps."""
+    n, free = c.n, c.free_nodes
+    size = 1 << n
+    rng, word = _start(c, seed)
+    bias, rows = _local_fields(c)
+    prob = np.zeros((n, size))
+    for w in range(size):
+        m = [1 if w >> (n - 1 - j) & 1 else -1 for j in range(n)]
+        for node in free:
+            prob[node, w] = act.prob_high(_field(bias[node], rows[node], m))
+    prob = prob.ravel()  # prob[node * size + word]
+    free_nodes = np.array(free)
+    identity = np.arange(size, dtype=np.uint8)
+    counts = np.zeros(size, dtype=np.int64)
+    for done, perms, draws in _sweep_blocks(rng, len(free), burn_in + n_sweeps):
+        block = len(draws)
+        # maps[s, w]: the word that sweep s leaves behind when it starts at w
+        maps = np.broadcast_to(identity, (block, size))
+        for slot in range(len(free)):
+            node = free_nodes[perms[:, slot, None]]
+            bit = (1 << (n - 1 - node)).astype(np.uint8)
+            high = draws[:, slot, None] < prob[node * size + maps]
+            maps = (maps & ~bit) | (bit * high)
+        flat = maps.tobytes()
+        states = bytearray(block)
+        for s, row in enumerate(range(0, block * size, size)):
+            word = flat[row + word]
+            states[s] = word
+        visited = np.frombuffer(states, dtype=np.uint8)[max(burn_in - done, 0):]
+        counts += np.bincount(visited, minlength=size)
+    width = f"0{n}b"
+    return StateHistogram(
+        n=n, counts={format(w, width): int(k) for w, k in enumerate(counts) if k}
+    )
+
+
+def _gibbs_loop(c: PCircuit, act, n_sweeps: int, burn_in: int, seed) -> StateHistogram:
+    """gibbs_run node update by node update; runs circuits of any size."""
+    n, free = c.n, c.free_nodes
+    rng, word = _start(c, seed)
+    bit_flip = [1 << (n - 1 - i) for i in range(n)]
+    m = [1 if word & bit_flip[i] else -1 for i in range(n)]
+    bias, rows = _local_fields(c)
+    counts: dict[int, int] = {}
+    for done, perms, draws in _sweep_blocks(rng, len(free), burn_in + n_sweeps):
+        for s, (perm, row_draws) in enumerate(zip(perms.tolist(), draws.tolist())):
+            for slot, k in enumerate(perm):
+                node = free[k]
+                new = pbit_update(_field(bias[node], rows[node], m), act, row_draws[slot])
                 if new != m[node]:
                     m[node] = new
                     word ^= bit_flip[node]
             if done + s >= burn_in:
                 counts[word] = counts.get(word, 0) + 1
-        done += block
-
     width = f"0{n}b"
     return StateHistogram(n=n, counts={format(w, width): v for w, v in sorted(counts.items())})
 
@@ -362,5 +427,7 @@ def compare_to_oracle(hist: StateHistogram, exact: dict) -> float:
         if len(word) != hist.n:
             raise ValueError("histogram and oracle describe different node counts")
     freqs = hist.frequencies()
-    words = set(freqs) | set(exact)
+    # sorted: a set of strings iterates in a per-process hash order, and a
+    # float sum in another order can differ in its last digit
+    words = sorted(set(freqs) | set(exact))
     return float(sum(abs(freqs.get(w, 0.0) - exact.get(w, 0.0)) for w in words))

@@ -178,6 +178,15 @@ class TestFitDwellTime:
             with pytest.raises(ValueError):
                 fit_dwell_time(acf, 1e-5, occ)
 
+    def test_exhausted_optimizer_diverges(self, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise RuntimeError("Optimal parameters not found: maxfev reached")
+
+        monkeypatch.setattr("pbitsim.analysis.curve_fit", exhausted)
+        acf = np.column_stack([np.arange(10) * 1e-5, np.exp(-np.arange(10) / 3)])
+        with pytest.raises(FitDiverged, match="maxfev"):
+            fit_dwell_time(acf, 1e-5, 0.5)
+
     def test_tau_out_of_range_diverges(self):
         # correlation time far beyond the supplied lag span
         lags = np.arange(5) * 1e-6

@@ -1,8 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import pbitsim
 from pbitsim.cli import main
+
+SRC = str(Path(pbitsim.__file__).resolve().parent.parent)
 
 
 def run(*argv):
@@ -51,6 +58,18 @@ class TestSmtjTrace:
         assert run(*args, "--out-dir", tmp_path / "a") == 0
         assert run(*args, "--out-dir", tmp_path / "b") == 0
         assert dir_bytes(tmp_path / "a") == dir_bytes(tmp_path / "b")
+
+    def test_exhausted_fit_exits_3(self, tmp_path, monkeypatch, capsys):
+        def exhausted(*args, **kwargs):
+            raise RuntimeError("Optimal parameters not found: maxfev reached")
+
+        monkeypatch.setattr("pbitsim.analysis.curve_fit", exhausted)
+        code = run(
+            "smtj-trace", "--out-dir", tmp_path, "--seed", 3,
+            "--duration-s", 0.5, "--dt-s", 1e-4,
+        )
+        assert code == 3
+        assert "FitDiverged" in capsys.readouterr().err
 
     def test_analyze_existing_voltage_trace(self, tmp_path):
         gen = tmp_path / "gen"
@@ -234,6 +253,21 @@ class TestGate:
             "--gate", "and", "--sweeps", 50_000, "--i0", 1.0,
         ) == 0
         assert (tmp_path / "and_free_summary.json").exists()
+
+    def test_summary_independent_of_hash_seed(self, tmp_path):
+        # l1_distance sums over a set of words; the output must not depend on
+        # the per-process string hash order.
+        outputs = []
+        for hash_seed in ("1", "3"):
+            out = tmp_path / hash_seed
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=SRC)
+            subprocess.run(
+                [sys.executable, "-m", "pbitsim.cli", "gate", "--all-modes",
+                 "--sweeps", "20000", "--seed", "1", "--out-dir", str(out)],
+                env=env, check=True, timeout=120,
+            )
+            outputs.append(dir_bytes(out))
+        assert outputs[0] == outputs[1]
 
     def test_bad_i0_exits_2(self, tmp_path):
         assert run("gate", "--out-dir", tmp_path, "--i0", -1.0) == 2

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pbitsim.device import InverterParams, PbitParams, calibrate_match, transfer_curve
@@ -16,6 +16,10 @@ from pbitsim.pcircuit import (
     PCircuit,
     StateHistogram,
     TooLarge,
+    _MAP_NODES,
+    _SWEEP_BLOCK,
+    _gibbs_loop,
+    _gibbs_maps,
     _isotonic,
     and_gate,
     boltzmann_exact,
@@ -289,6 +293,71 @@ class TestGibbsRun:
         empirical = gibbs_run(c, act, 300_000, burn_in=500, seed=15)
         l1 = compare_to_oracle(empirical, ideal.frequencies())
         assert l1 < 0.05
+
+
+# A coarse, non-smooth table exercises interpolation and saturated tails.
+TABLE_ACTIVATION = EmpiricalActivation(
+    [0.4, 0.5, 0.55, 0.6, 0.62, 0.7, 0.8], [0.0, 0.1, 0.3, 0.5, 0.6, 0.9, 1.0],
+    v_dd=1.2, scale=0.05,
+)
+
+
+@st.composite
+def small_circuits(draw):
+    n = draw(st.integers(1, 8))
+    weights = st.floats(-2.0, 2.0, allow_nan=False).map(lambda x: round(x, 3))
+    j = np.zeros((n, n))
+    for a in range(n):
+        for b in range(a + 1, n):
+            j[a, b] = j[b, a] = draw(weights)
+    h = np.array([draw(weights) for _ in range(n)])
+    clamped = draw(st.sets(st.integers(0, n - 1), max_size=n - 1))
+    clamps = {node: draw(st.sampled_from((-1, 1))) for node in clamped}
+    i0 = draw(st.floats(0.1, 3.0))
+    return PCircuit(j=j, h=h, i0=i0, clamps=clamps)
+
+
+class TestSamplingPaths:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        c=small_circuits(),
+        act=st.sampled_from((IdealTanh(), TABLE_ACTIVATION)),
+        n_sweeps=st.integers(1, 3000),
+        burn_in=st.sampled_from((0, 17, _SWEEP_BLOCK + 5)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # burn-in beyond one block and a run ending inside the third block
+    @example(
+        c=clamp(or_gate(1.0), 2, 1), act=IdealTanh(),
+        n_sweeps=2 * _SWEEP_BLOCK + 11, burn_in=_SWEEP_BLOCK + 3, seed=12,
+    )
+    def test_map_walk_matches_node_updates(self, c, act, n_sweeps, burn_in, seed):
+        maps = _gibbs_maps(c, act, n_sweeps, burn_in, seed)
+        loop = _gibbs_loop(c, act, n_sweeps, burn_in, seed)
+        assert maps == loop
+        assert maps.total == n_sweeps
+
+    def test_large_circuit_updates_node_by_node(self):
+        # ten nodes: beyond the map walk, so gibbs_run takes the loop path
+        n = 10
+        rng = np.random.default_rng(40)
+        upper = np.triu(rng.uniform(-0.5, 0.5, (n, n)), 1)
+        c = PCircuit(
+            j=upper + upper.T, h=rng.uniform(-0.5, 0.5, n), i0=1.0,
+            clamps={0: 1, 3: -1, 5: 1, 6: 1, 8: -1, 9: -1},
+        )
+        assert c.n > _MAP_NODES
+        hist = gibbs_run(c, IdealTanh(), 100_000, burn_in=100, seed=41)
+        assert compare_to_oracle(hist, boltzmann_exact(c)) < 0.02
+
+    def test_pinned_sample_stream(self):
+        # Counts of the node-by-node sampler for this seed; any change to the
+        # draw sequence or to how draws become updates must show up here.
+        hist = gibbs_run(
+            clamp(and_gate(2.0), 2, 0), IdealTanh(), 50_000, 100,
+            seed=np.random.SeedSequence((1, 0)),
+        )
+        assert hist.counts == {"000": 16690, "010": 16693, "100": 16610, "110": 7}
 
 
 class TestCompareToOracle:
