@@ -11,12 +11,14 @@ class of a graph colouring at a time, is still exact Gibbs sampling (Aadit
 et al., Nat. Electron. 5, 460, 2022); updating coupled nodes simultaneously
 is not, so only sequential sweeps are offered.
 
-For circuits of at most 8 nodes, so that a word fits in one byte, gibbs_run
-never evaluates the activation inside the chain.  It tabulates the update
-probability of every node in every word once, turns each sweep's random
-permutation and uniform draws into a map word -> word over all 2**n words,
-and walks those maps from the current word.  That is the same chain with
-the same draws as updating node by node, which larger circuits still do.
+For circuits of at most 7 nodes gibbs_run never evaluates the activation
+inside the chain.  It tabulates the update probability of every node in
+every word once, turns each sweep's random permutation and uniform draws
+into a map word -> word over all 2**n words, and walks those maps from the
+current word.  That is the same chain with the same draws as updating node
+by node, which larger circuits still do: building a map costs work in
+proportion to 2**n, and at 8 nodes the maps measured slower than the loop
+with the ideal tanh.
 
 Histogram words follow the convention bit = (m + 1) / 2 with node 0 (A) as
 the most significant bit.
@@ -35,7 +37,11 @@ from .device import TransferCurve, fit_sigmoid
 ENUMERATION_LIMIT = 20  # exact oracle enumerates at most 2**20 states
 
 _SWEEP_BLOCK = 16384  # fixed block size keeps the draw sequence reproducible
-_MAP_NODES = 8  # gibbs_run walks per-sweep maps while a word fits in one byte
+# Largest circuit that gibbs_run samples by per-sweep maps.  On a 2-vCPU
+# x86 host, random 7-node circuits with 6 free nodes ran 1.25-2.5x faster by
+# maps than node by node; at 8 nodes the ideal tanh ran 0.8-0.95x.
+_MAP_NODES = 7
+_MAP_CELLS = 1 << 15  # map entries built at a time, bounding the temporaries
 
 
 class PCircuitError(Exception):
@@ -275,20 +281,8 @@ def _local_fields(c: PCircuit):
     return bias, rows
 
 
-def _field(bias: float, row: list, m: list) -> float:
-    """Input of one node: its bias plus each coupling term, left to right.
-
-    Both sampling paths use this accumulation order, so they compare the
-    same draws against bit-identical probabilities.
-    """
-    acc = bias
-    for j, w in row:
-        acc += w * m[j]
-    return acc
-
-
 def _gibbs_maps(c: PCircuit, act, n_sweeps: int, burn_in: int, seed) -> StateHistogram:
-    """gibbs_run for circuits of at most 8 nodes, by per-sweep word maps."""
+    """gibbs_run by per-sweep word maps; words are bytes, so n <= 8."""
     n, free = c.n, c.free_nodes
     size = 1 << n
     rng, word = _start(c, seed)
@@ -297,25 +291,33 @@ def _gibbs_maps(c: PCircuit, act, n_sweeps: int, burn_in: int, seed) -> StateHis
     for w in range(size):
         m = [1 if w >> (n - 1 - j) & 1 else -1 for j in range(n)]
         for node in free:
-            prob[node, w] = act.prob_high(_field(bias[node], rows[node], m))
+            # the loop's own left-to-right sum, so both paths compare the
+            # same draws against bit-identical probabilities
+            acc = bias[node]
+            for j, wt in rows[node]:
+                acc += wt * m[j]
+            prob[node, w] = act.prob_high(acc)
     prob = prob.ravel()  # prob[node * size + word]
     free_nodes = np.array(free)
     identity = np.arange(size, dtype=np.uint8)
     counts = np.zeros(size, dtype=np.int64)
+    step = max(1, _MAP_CELLS // size)  # sweeps whose maps are built at once
     for done, perms, draws in _sweep_blocks(rng, len(free), burn_in + n_sweeps):
         block = len(draws)
-        # maps[s, w]: the word that sweep s leaves behind when it starts at w
-        maps = np.broadcast_to(identity, (block, size))
-        for slot in range(len(free)):
-            node = free_nodes[perms[:, slot, None]]
-            bit = (1 << (n - 1 - node)).astype(np.uint8)
-            high = draws[:, slot, None] < prob[node * size + maps]
-            maps = (maps & ~bit) | (bit * high)
-        flat = maps.tobytes()
         states = bytearray(block)
-        for s, row in enumerate(range(0, block * size, size)):
-            word = flat[row + word]
-            states[s] = word
+        for first in range(0, block, step):
+            sweeps = slice(first, first + step)
+            # maps[s, w]: the word that sweep s leaves behind when it starts at w
+            maps = np.broadcast_to(identity, (len(draws[sweeps]), size))
+            for slot in range(len(free)):
+                node = free_nodes[perms[sweeps, slot, None]]
+                bit = (1 << (n - 1 - node)).astype(np.uint8)
+                high = draws[sweeps, slot, None] < prob[node * size + maps]
+                maps = (maps & ~bit) | (bit * high)
+            flat = maps.tobytes()
+            for s, row in enumerate(range(0, len(flat), size), first):
+                word = flat[row + word]
+                states[s] = word
         visited = np.frombuffer(states, dtype=np.uint8)[max(burn_in - done, 0):]
         counts += np.bincount(visited, minlength=size)
     width = f"0{n}b"
@@ -330,13 +332,18 @@ def _gibbs_loop(c: PCircuit, act, n_sweeps: int, burn_in: int, seed) -> StateHis
     rng, word = _start(c, seed)
     bit_flip = [1 << (n - 1 - i) for i in range(n)]
     m = [1 if word & bit_flip[i] else -1 for i in range(n)]
+    # Python-level caches keep the inner loop free of numpy scalar overhead.
     bias, rows = _local_fields(c)
+    prob = act.prob_high
     counts: dict[int, int] = {}
     for done, perms, draws in _sweep_blocks(rng, len(free), burn_in + n_sweeps):
         for s, (perm, row_draws) in enumerate(zip(perms.tolist(), draws.tolist())):
             for slot, k in enumerate(perm):
                 node = free[k]
-                new = pbit_update(_field(bias[node], rows[node], m), act, row_draws[slot])
+                acc = bias[node]
+                for j, w in rows[node]:
+                    acc += w * m[j]
+                new = 1 if row_draws[slot] < prob(acc) else -1
                 if new != m[node]:
                     m[node] = new
                     word ^= bit_flip[node]

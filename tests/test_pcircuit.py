@@ -2,6 +2,7 @@ import io
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -349,6 +350,19 @@ class TestSamplingPaths:
         assert c.n > _MAP_NODES
         hist = gibbs_run(c, IdealTanh(), 100_000, burn_in=100, seed=41)
         assert compare_to_oracle(hist, boltzmann_exact(c)) < 0.02
+
+    def test_map_walk_memory_is_bounded(self):
+        # maps are built a few thousand sweeps at a time, not a whole block
+        # of 2**n-entry maps at once (about 75 MB at 8 nodes)
+        n = 8
+        c = PCircuit(j=np.zeros((n, n)), h=np.zeros(n), i0=1.0)
+        tracemalloc.start()
+        try:
+            _gibbs_maps(c, IdealTanh(), _SWEEP_BLOCK, 0, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_pinned_sample_stream(self):
         # Counts of the node-by-node sampler for this seed; any change to the
