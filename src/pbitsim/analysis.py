@@ -18,7 +18,7 @@ import numpy as np
 import scipy.fft
 from scipy.optimize import curve_fit
 
-from .smtj import TelegraphTrace
+from .smtj import TelegraphTrace, TraceFormatError, _read_rows, _trace_header
 
 
 class AnalysisError(Exception):
@@ -392,55 +392,37 @@ def load_trace(
 ) -> TelegraphTrace:
     """Load a trace CSV, converting voltage exports to resistance if needed.
 
-    Accepts the native `time_s,resistance_ohm[,state]` format or a two-column
-    `time_s,voltage_V` oscilloscope export.  Voltage traces need the DC bias
-    current, either passed here or read from a JSON sidecar `<file>.json`
-    with key `bias_current_A`; resistance is V / I.  offset_ohm is subtracted
-    from every sample (manual DC-offset removal).
+    Accepts the native `time_s,resistance_ohm[,state]` format or a
+    `time_s,voltage_V` oscilloscope export (further columns are ignored).
+    Voltage traces need the DC bias current, either passed here or read from a
+    JSON sidecar `<file>.json` with key `bias_current_A`; resistance is V / I.
+    offset_ohm is subtracted from every sample (manual DC-offset removal).
+
+    Raises ValueError (TraceFormatError for the file's contents) on an
+    unrecognized header, a malformed row, fewer than two samples, a time
+    column that is not a uniform grid, a non-finite sample or a bias current
+    that is not positive.
     """
     path = Path(path)
     with open(path) as f:
-        header = None
-        for line in f:
-            line = line.strip()
-            if line and not line.startswith("#"):
-                header = line
-                break
-        if header is None:
-            raise ValueError(f"{path} holds no data")
-        cols = header.split(",")
-        f.seek(0)
-        if cols[:2] == ["time_s", "resistance_ohm"]:
-            trace = TelegraphTrace.from_csv(f)
-        elif cols[:2] == ["time_s", "voltage_V"]:
-            if bias_current is None:
-                sidecar = path.with_suffix(path.suffix + ".json")
-                if not sidecar.exists():
-                    raise ValueError(
-                        f"voltage trace needs a bias current: pass one or add {sidecar.name}"
-                    )
-                with open(sidecar) as sf:
-                    bias_current = float(json.load(sf)["bias_current_A"])
-            times, volts = [], []
-            for line in f:
-                line = line.strip()
-                if not line or line.startswith("#") or line.startswith("time_s"):
-                    continue
-                t_str, v_str = line.split(",")[:2]
-                times.append(float(t_str))
-                volts.append(float(v_str))
-            if len(volts) < 2:
-                raise ValueError("trace file must hold at least two samples")
-            values = np.asarray(volts) / bias_current
-            trace = TelegraphTrace(
-                sample_interval=times[1] - times[0], values=values
-            )
-        else:
-            raise ValueError(f"unrecognized trace header: {header!r}")
+        index, cols = _trace_header(f)
+    if cols[:2] == ["time_s", "resistance_ohm"]:
+        dt, values, labels = _read_rows(path, index + 1, labeled=len(cols) > 2)
+    elif cols[:2] == ["time_s", "voltage_V"]:
+        if bias_current is None:
+            sidecar = path.with_suffix(path.suffix + ".json")
+            if not sidecar.exists():
+                raise ValueError(
+                    f"voltage trace needs a bias current: pass one or add {sidecar.name}"
+                )
+            with open(sidecar) as sf:
+                bias_current = float(json.load(sf)["bias_current_A"])
+        if not bias_current > 0:
+            raise ValueError(f"bias current must be > 0 A, got {bias_current:g}")
+        dt, volts, labels = _read_rows(path, index + 1, labeled=False)
+        values = volts / bias_current
+    else:
+        raise TraceFormatError(f"unrecognized trace header: {','.join(cols)!r}")
     if offset_ohm:
-        trace = TelegraphTrace(
-            sample_interval=trace.sample_interval,
-            values=trace.values - offset_ohm,
-            labels=trace.labels,
-        )
-    return trace
+        values = values - offset_ohm
+    return TelegraphTrace(sample_interval=dt, values=values, labels=labels)

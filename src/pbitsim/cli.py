@@ -37,6 +37,7 @@ from .device import (
     InverterParams,
     NmosParams,
     PbitParams,
+    SigmoidFitDiverged,
     TransferCurve,
     TransferPoint,
     calibrate_match,
@@ -422,7 +423,7 @@ def cmd_transfer(cfg: dict) -> None:
     if len(grid) >= 4:
         try:
             center, width = fit_sigmoid(curve.v_in, curve.means, p.v_dd)
-        except RuntimeError:
+        except SigmoidFitDiverged:
             center = width = None
     else:
         center = width = None

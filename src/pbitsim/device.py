@@ -32,6 +32,10 @@ NMOS_OFF_RESISTANCE = 1e10  # ohm, below-threshold channel
 IDEAL_GAIN = math.inf  # sentinel: inverter acts as an ideal comparator
 
 
+class SigmoidFitDiverged(ValueError):
+    """Raised when the logistic fit of a transfer curve does not converge."""
+
+
 @dataclass(frozen=True)
 class NmosParams:
     """Triode-region NMOS stand-in: threshold voltage and transconductance scale."""
@@ -233,20 +237,24 @@ def transfer_curve(
 def fit_sigmoid(v_in, means, v_dd: float) -> tuple[float, float]:
     """Least-squares logistic fit mean = v_dd * expit((v - center) / width).
 
-    Returns (center, width) in volts.
+    Returns (center, width) in volts.  Raises SigmoidFitDiverged when the
+    least-squares solver runs out of evaluations.
     """
     v = np.asarray(v_in, dtype=float)
     y = np.asarray(means, dtype=float)
     span = max(v.max() - v.min(), 1e-9)
     c0 = v[int(np.argmin(np.abs(y - v_dd / 2)))]
-    (center, width), _ = curve_fit(
-        lambda vv, c, w: v_dd * expit((vv - c) / w),
-        v,
-        y,
-        p0=[c0, span / 20],
-        bounds=([v.min() - span, 1e-6 * span], [v.max() + span, 10 * span]),
-        maxfev=5000,
-    )
+    try:
+        (center, width), _ = curve_fit(
+            lambda vv, c, w: v_dd * expit((vv - c) / w),
+            v,
+            y,
+            p0=[c0, span / 20],
+            bounds=([v.min() - span, 1e-6 * span], [v.max() + span, 10 * span]),
+            maxfev=5000,
+        )
+    except RuntimeError as exc:
+        raise SigmoidFitDiverged(str(exc)) from exc
     return float(center), float(width)
 
 

@@ -29,6 +29,18 @@ _OCC_PINNED = 1e-12
 OCC_WINDOW_DIVISOR = 8.0
 
 
+class TraceFormatError(ValueError):
+    """Raised when a trace CSV does not hold a well-formed uniform series."""
+
+
+# Rows formatted per write in TelegraphTrace.to_csv.
+_CSV_ROWS = 1 << 16
+
+# Largest deviation of a time step from the first one, relative to it, that
+# still counts as a uniform sampling grid.
+_GRID_TOLERANCE = 1e-3
+
+
 class MtjState(enum.IntEnum):
     """Magnetization configuration. PARALLEL is the low-resistance state."""
 
@@ -125,41 +137,87 @@ class TelegraphTrace:
         return np.arange(self.values.size) * self.sample_interval
 
     def to_csv(self, file) -> None:
-        """Write `time_s,resistance_ohm,state` rows (state column only when labeled)."""
+        """Write `time_s,resistance_ohm,state` rows (state column only when labeled).
+
+        Row k holds `k * sample_interval` and the sample, both `%.12g`.  Rows
+        are formatted _CSV_ROWS at a time, so memory stays bounded.
+        """
         labeled = self.labels is not None
         file.write("time_s,resistance_ohm,state\n" if labeled else "time_s,resistance_ohm\n")
-        dt = self.sample_interval
-        if labeled:
-            for k, (r, lab) in enumerate(zip(self.values, self.labels)):
-                file.write(f"{k * dt:.12g},{r:.12g},{'AP' if lab else 'P'}\n")
-        else:
-            for k, r in enumerate(self.values):
-                file.write(f"{k * dt:.12g},{r:.12g}\n")
+        row, width = ("%.12g,%.12g,%s\n", 3) if labeled else ("%.12g,%.12g\n", 2)
+        n = self.values.size
+        for start in range(0, n, _CSV_ROWS):
+            stop = min(start + _CSV_ROWS, n)
+            cells = [None] * (width * (stop - start))
+            # int64 * float64 rounds exactly as the scalar k * dt
+            cells[0::width] = (np.arange(start, stop) * self.sample_interval).tolist()
+            cells[1::width] = self.values[start:stop].tolist()
+            if labeled:
+                cells[2::width] = np.where(self.labels[start:stop] != 0, "AP", "P").tolist()
+            file.write(row * (stop - start) % tuple(cells))
 
     @classmethod
     def from_csv(cls, file) -> "TelegraphTrace":
-        """Read a trace written by to_csv. Lines starting with '#' are skipped."""
-        times, values, labels = [], [], []
-        header = None
-        for line in file:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if header is None:
-                header = line.split(",")
-                if header[:2] != ["time_s", "resistance_ohm"]:
-                    raise ValueError(f"unexpected trace header: {line!r}")
-                continue
-            parts = line.split(",")
-            times.append(float(parts[0]))
-            values.append(float(parts[1]))
-            if len(parts) > 2:
-                labels.append(1 if parts[2] == "AP" else 0)
-        if len(values) < 2:
-            raise ValueError("trace file must hold at least two samples")
-        dt = times[1] - times[0]
-        lab = np.asarray(labels, dtype=np.uint8) if labels else None
-        return cls(sample_interval=dt, values=np.asarray(values), labels=lab)
+        """Read a trace written by to_csv. Lines starting with '#' are skipped.
+
+        Raises TraceFormatError on a malformed file (see _read_rows).
+        """
+        _, cols = _trace_header(iter(file.readline, ""))
+        if cols[:2] != ["time_s", "resistance_ohm"]:
+            raise TraceFormatError(f"unexpected trace header: {','.join(cols)!r}")
+        dt, values, labels = _read_rows(file, 0, labeled=len(cols) > 2)
+        return cls(sample_interval=dt, values=values, labels=labels)
+
+
+def _trace_header(lines) -> tuple[int, list[str]]:
+    """Line index and columns of the first line that is neither blank nor '#'."""
+    for index, line in enumerate(lines):
+        line = line.strip()
+        if line and not line.startswith("#"):
+            return index, line.split(",")
+    raise TraceFormatError("trace file holds no data")
+
+
+def _read_rows(
+    source, skiprows: int, labeled: bool
+) -> tuple[float, np.ndarray, np.ndarray | None]:
+    """Parse the data rows of a trace CSV: (sample_interval, values, labels).
+
+    source is a path or an open text file positioned so that skiprows lines
+    precede the first data row.  The first two columns are time and sample;
+    when labeled the third is the state, AP exactly for the anti-parallel
+    state and anything else for parallel.  Further columns are ignored.  '#'
+    comments and empty lines are skipped.  The time column must be a uniform
+    grid and every sample finite.
+    """
+    fields = [("t", float), ("x", float)] + ([("s", "U3")] if labeled else [])
+    try:
+        with warnings.catch_warnings():
+            # a file without data rows is reported below, not as a warning
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            rows = np.loadtxt(
+                source, dtype=fields, delimiter=",", skiprows=skiprows,
+                usecols=range(len(fields)), ndmin=1,
+            )
+    except ValueError as exc:
+        raise TraceFormatError(f"malformed trace row: {exc}") from exc
+    if rows.size < 2:
+        raise TraceFormatError("trace file must hold at least two samples")
+    times = rows["t"]
+    dt = float(times[1] - times[0])
+    if not dt > 0:
+        raise TraceFormatError(f"time column must increase, first step is {dt:g} s")
+    if not np.all(np.abs(np.diff(times) - dt) <= _GRID_TOLERANCE * dt):
+        raise TraceFormatError(
+            f"time column is not a uniform grid: steps deviate from {dt:g} s by more than "
+            f"{_GRID_TOLERANCE:g} of it"
+        )
+    values = np.ascontiguousarray(rows["x"])
+    if not np.all(np.isfinite(values)):
+        bad = int(np.flatnonzero(~np.isfinite(values))[0])
+        raise TraceFormatError(f"sample {bad} is not finite: {values[bad]}")
+    labels = (rows["s"] == "AP").astype(np.uint8) if labeled else None
+    return dt, values, labels
 
 
 def r_antiparallel(p: SmtjParams) -> float:

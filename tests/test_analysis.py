@@ -27,6 +27,7 @@ from pbitsim.analysis import (
 from pbitsim.smtj import (
     SmtjParams,
     TelegraphTrace,
+    TraceFormatError,
     r_antiparallel,
     sample_trajectory,
     simulate_field_sweep,
@@ -309,3 +310,101 @@ class TestLoadTrace:
         back = load_trace(path)
         assert np.array_equal(back.values, tr.values)
         assert np.array_equal(back.labels, tr.labels)
+
+
+# Small files in both formats; the reader must return the same samples,
+# labels and dt for each of them whatever the layout changes below.
+BIAS = 1e-5
+TRACE_FORMATS = {
+    "native": (
+        "time_s,resistance_ohm,state",
+        ["0,27600,P", "1e-05,35880,AP", "2e-05,35880,AP",
+         "3e-05,27600,P", "4e-05,27612.5,P", "5e-05,35880.125,AP"],
+    ),
+    "voltage": (
+        "time_s,voltage_V",
+        ["0.00000,0.276012", "0.00001,0.358790", "0.00002,0.358801",
+         "0.00003,0.276003", "0.00004,0.275990", "0.00005,0.358812"],
+    ),
+}
+LAYOUTS = {
+    "comments": lambda lines: ["# pbitsim 0.1.0 seed=1", "#scope: ch1"] + lines,
+    "blank": lambda lines: ["", lines[0], ""] + [x for row in lines[1:] for x in (row, "")],
+    "crlf": lambda lines: lines,
+    "extra_columns": lambda lines: [lines[0] + ",ch2"] + [row + ",0.5" for row in lines[1:]],
+}
+
+
+def expected_trace(fmt):
+    """dt, samples and labels by the per-line rules: float() of each cell,
+    V / I for voltage exports, state AP exactly for the anti-parallel label."""
+    _, rows = TRACE_FORMATS[fmt]
+    cells = [row.split(",") for row in rows]
+    scale = BIAS if fmt == "voltage" else 1.0
+    values = np.array([float(c[1]) for c in cells]) / scale
+    labels = np.array([c[2] == "AP" for c in cells], dtype=np.uint8) if fmt == "native" else None
+    return float(cells[1][0]) - float(cells[0][0]), values, labels
+
+
+def write_lines(path, lines, eol="\n"):
+    with open(path, "w", newline="") as f:
+        f.write(eol.join(lines) + eol)
+
+
+class TestLoadTraceParity:
+    @pytest.mark.parametrize("fmt", sorted(TRACE_FORMATS))
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_layouts_read_alike(self, tmp_path, fmt, layout):
+        header, rows = TRACE_FORMATS[fmt]
+        path = tmp_path / "trace.csv"
+        write_lines(path, LAYOUTS[layout]([header] + rows), "\r\n" if layout == "crlf" else "\n")
+        dt, values, labels = expected_trace(fmt)
+        traces = [load_trace(path, bias_current=BIAS)]
+        if fmt == "native":
+            with open(path) as f:
+                traces.append(TelegraphTrace.from_csv(f))
+        for back in traces:
+            assert back.sample_interval == dt
+            assert np.array_equal(back.values, values)
+            assert (back.labels is None) == (labels is None)
+            if labels is not None:
+                assert np.array_equal(back.labels, labels)
+
+    @pytest.mark.parametrize("fmt", sorted(TRACE_FORMATS))
+    def test_repeated_header_rejected(self, tmp_path, fmt):
+        header, rows = TRACE_FORMATS[fmt]
+        path = tmp_path / "trace.csv"
+        write_lines(path, [header] + rows[:3] + [header] + rows[3:])
+        with pytest.raises(TraceFormatError, match="malformed trace row"):
+            load_trace(path, bias_current=BIAS)
+
+
+class TestLoadTraceValidation:
+    def test_jittered_grid_rejected(self, tmp_path):
+        # a mean step of 10 us, first step 5.6 us: the dt a first-gap rule would take
+        steps = [5.6e-6] + list(np.random.default_rng(3).uniform(8e-6, 12e-6, 200))
+        times = np.concatenate([[0.0], np.cumsum(steps)])
+        path = tmp_path / "trace.csv"
+        write_lines(path, ["time_s,resistance_ohm"] + [f"{t:.9g},27600" for t in times])
+        with pytest.raises(TraceFormatError, match="not a uniform grid"):
+            load_trace(path)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_sample_rejected(self, tmp_path, bad):
+        rows = [f"{k * 1e-5:.12g},{27600 if k % 9 else 35880}" for k in range(200)]
+        rows[150] = f"{150 * 1e-5:.12g},{bad}"
+        path = tmp_path / "trace.csv"
+        write_lines(path, ["time_s,resistance_ohm"] + rows)
+        with pytest.raises(TraceFormatError, match="sample 150 is not finite"):
+            load_trace(path)
+
+    @pytest.mark.parametrize("bias", [0.0, -1e-5])
+    def test_bias_current_must_be_positive(self, tmp_path, bias):
+        header, rows = TRACE_FORMATS["voltage"]
+        path = tmp_path / "scope.csv"
+        write_lines(path, [header] + rows)
+        with pytest.raises(ValueError, match="bias current must be > 0"):
+            load_trace(path, bias_current=bias)
+        (tmp_path / "scope.csv.json").write_text(json.dumps({"bias_current_A": bias}))
+        with pytest.raises(ValueError, match="bias current must be > 0"):
+            load_trace(path)

@@ -1,13 +1,16 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import pbitsim
 from pbitsim.cli import main
+from pbitsim.smtj import SmtjParams, sample_trajectory
 
 SRC = str(Path(pbitsim.__file__).resolve().parent.parent)
 
@@ -93,6 +96,45 @@ class TestSmtjTrace:
         result = read_json(out / "analysis.json")
         assert result["tmr"] == pytest.approx(0.145, rel=1e-6)
         assert result["dwell_acf_s"] == pytest.approx(68.9e-6, rel=0.15)
+
+    def test_analyzed_trace_bytes_pinned(self, tmp_path):
+        # SHA-256 of trace.csv below its metadata line (which hashes the
+        # input path), recorded with the row-at-a-time reader and writer
+        fast = SmtjParams(tmr=0.30, tau_mean=68.9e-6, window_width=0.2e-3)
+        src = sample_trajectory(fast, fast.b_5050, 0.2, 2e-6, seed=33)
+        volts = src.values * 1e-5 + np.random.default_rng(34).normal(0.0, 2e-3, len(src))
+        scope = tmp_path / "scope.csv"
+        np.savetxt(
+            scope, np.column_stack([src.times, volts]), fmt="%.7f,%.6f",
+            header="time_s,voltage_V", comments="",
+        )
+        out = tmp_path / "out"
+        assert run("smtj-trace", "--out-dir", out, "--input-trace", scope) == 0
+        body = (out / "trace.csv").read_bytes().split(b"\n", 1)[1]
+        assert hashlib.sha256(body).hexdigest() == (
+            "c1fe101281b3ef78ffb8d42a8f6841b00db167a2963fa7da254bede56f5e9723"
+        )
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            # a header line repeated mid-file
+            ["0,27600", "1e-05,35880", "time_s,resistance_ohm", "2e-05,27600"],
+            # jittered time grid
+            ["0,27600", "1e-05,35880", "2.5e-05,27600", "3e-05,35880"],
+            # non-finite sample
+            ["0,27600", "1e-05,nan", "2e-05,27600", "3e-05,35880"],
+        ],
+        ids=["repeated_header", "jittered_grid", "nan_sample"],
+    )
+    def test_malformed_trace_exits_3(self, tmp_path, capsys, rows):
+        trace = tmp_path / "bad.csv"
+        trace.write_text("\n".join(["time_s,resistance_ohm", *rows]) + "\n")
+        code = run("smtj-trace", "--out-dir", tmp_path / "out", "--input-trace", trace)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "TraceFormatError" in err
+        assert "Traceback" not in err
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -246,6 +288,25 @@ class TestGate:
         summary = read_json(tmp_path / "and_c1_summary.json")
         assert summary["activation"] == "empirical"
         assert summary["modal_word"] == "111"
+
+    def test_exhausted_sigmoid_fit_exits_3(self, tmp_path, monkeypatch, capsys):
+        def exhausted(*args, **kwargs):
+            raise RuntimeError("Optimal parameters not found: maxfev reached")
+
+        monkeypatch.setattr("pbitsim.device.curve_fit", exhausted)
+        code = run(
+            "gate", "--out-dir", tmp_path / "gate", "--seed", 9,
+            "--gate", "and", "--clamp-c", 1, "--activation", "empirical",
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "SigmoidFitDiverged" in err
+        assert "Traceback" not in err
+        # transfer still writes its curve and reports no fit
+        out = tmp_path / "transfer"
+        assert run("transfer", "--out-dir", out, "--seed", 4, "--n-per-point", 50) == 0
+        sig = read_json(out / "sigmoid.json")
+        assert sig["center_V"] is None and sig["width_V"] is None
 
     def test_unclamped_run(self, tmp_path):
         assert run(

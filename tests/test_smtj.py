@@ -1,5 +1,8 @@
+import hashlib
 import io
 import json
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from pbitsim.smtj import (
+    _CSV_ROWS,
     MtjState,
     SmtjParams,
     TelegraphTrace,
@@ -189,6 +193,59 @@ class TestTraceCsv:
         assert back.sample_interval == pytest.approx(tr.sample_interval, rel=1e-9)
         assert np.array_equal(back.values, tr.values)
         assert np.array_equal(back.labels, tr.labels)
+
+    # SHA-256 of to_csv output recorded with the row-at-a-time writer it
+    # replaced; the chunked writer must reproduce every byte.
+    PINNED = {
+        "labeled": "687534def2cd98391001559e5529fff9cae07f9a45b793869817c3a2caa8b432",
+        "head": "c4cdfed2d8ad297a74bf4dc7d548bd624300409d4d92b2c4a09b3f84c5cdf7d2",
+        "noisy": "fd23cf8495c1e7e09dd2ac419665875e63a0c3f7d539f0a1cb53a442195ac858",
+    }
+
+    @staticmethod
+    def csv_text(trace):
+        buf = io.StringIO()
+        trace.to_csv(buf)
+        return buf.getvalue()
+
+    @pytest.fixture(scope="class")
+    def labeled(self):
+        return sample_trajectory(FAST, FAST.b_5050, 0.75, 5e-6, seed=31)
+
+    def test_labeled_bytes_pinned(self, labeled):
+        # more than two chunks, the last one partial
+        assert len(labeled) > 2 * _CSV_ROWS and len(labeled) % _CSV_ROWS
+        text = self.csv_text(labeled)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.PINNED["labeled"]
+
+    def test_exponent_rows_pinned(self, labeled):
+        # %.12g switches to exponent form below t = 1e-4
+        head = TelegraphTrace(labeled.sample_interval, labeled.values[:24], labeled.labels[:24])
+        text = self.csv_text(head)
+        assert text.splitlines()[1:4] == ["0,27600,P", "5e-06,27600,P", "1e-05,35880,AP"]
+        assert hashlib.sha256(text.encode()).hexdigest() == self.PINNED["head"]
+
+    def test_unlabeled_noisy_bytes_pinned(self, labeled):
+        rng = np.random.default_rng(32)
+        n = _CSV_ROWS + 4465
+        noisy = TelegraphTrace(3.3e-6, labeled.values[:n] + rng.normal(0.0, 150.0, n))
+        text = self.csv_text(noisy)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.PINNED["noisy"]
+
+    def test_writer_memory_is_bounded(self):
+        # rows are formatted a chunk at a time; a writer that converts the
+        # whole trace to Python objects at once peaks near 40 MB here
+        n = 4 * _CSV_ROWS
+        labels = (np.arange(n) // 7 % 2).astype(np.uint8)
+        trace = TelegraphTrace(1e-5, np.where(labels, 35880.0, 27600.0), labels)
+        with open(os.devnull, "w") as sink:
+            tracemalloc.start()
+            try:
+                trace.to_csv(sink)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_unlabeled_omits_state_column(self):
         tr = TelegraphTrace(sample_interval=1e-3, values=np.array([1.0, 2.0, 3.0]))
