@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy.fft
-from scipy.optimize import curve_fit
 
 from .smtj import TelegraphTrace, TraceFormatError, _read_rows, _trace_header
 
@@ -211,6 +209,8 @@ def _two_levels_of(x: np.ndarray) -> tuple[float, float] | None:
 
 
 def _acf_fft(x: np.ndarray, max_lag: int) -> np.ndarray:
+    import scipy.fft
+
     n = x.size
     xc = x - x.mean()
     m = scipy.fft.next_fast_len(n + max_lag + 1)
@@ -275,6 +275,16 @@ def _acf_two_level(z: np.ndarray, max_lag: int) -> np.ndarray:
 
 # Above this expected spike-pair count the run-length path loses to the FFT.
 _SPIKE_PAIR_BUDGET = 2e7
+
+
+def curve_fit(*args, **kwargs):
+    """scipy.optimize.curve_fit, imported on first call.
+
+    Only the fits need SciPy, so commands that fit nothing never load it.
+    """
+    from scipy.optimize import curve_fit as scipy_curve_fit
+
+    return scipy_curve_fit(*args, **kwargs)
 
 
 def fit_dwell_time(acf, dt: float, occupancy: float) -> DwellEstimate:

@@ -11,7 +11,6 @@ Exit codes: 0 success, 2 configuration error, 3 runtime / analysis error.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import hashlib
 import json
 import sys
@@ -38,12 +37,9 @@ from .device import (
     NmosParams,
     PbitParams,
     SigmoidFitDiverged,
-    TransferCurve,
-    TransferPoint,
     calibrate_match,
     fit_sigmoid,
     mixed_region_span,
-    sample_output,
     transfer_curve,
 )
 from .metrics import comparison_table, write_perf_csv
@@ -295,17 +291,9 @@ def cmd_field_sweep(cfg: dict) -> None:
     meta = _meta(cfg)
 
     grid = cfg["b_min_T"] + cfg["b_step_T"] * np.arange(count)
-    if cfg["jobs"] > 1:
-        tasks = [
-            (smtj, float(b), cfg["point_duration_s"], cfg["dt_s"], int(cfg["seed"]), i)
-            for i, b in enumerate(grid)
-        ]
-        with concurrent.futures.ProcessPoolExecutor(max_workers=cfg["jobs"]) as pool:
-            points = list(pool.map(_sweep_worker, tasks))
-    else:
-        points = simulate_field_sweep(
-            smtj, grid, cfg["point_duration_s"], cfg["dt_s"], cfg["seed"]
-        )
+    points = simulate_field_sweep(
+        smtj, grid, cfg["point_duration_s"], cfg["dt_s"], cfg["seed"], jobs=cfg["jobs"]
+    )
     r_p = smtj.r_parallel
     r_ap = r_p * (1.0 + smtj.tmr)
     levels = LevelEstimate(r_low=r_p, r_high=r_ap, threshold=0.5 * (r_p + r_ap))
@@ -380,19 +368,6 @@ def _transfer_grid(cfg: dict) -> list:
     return grid
 
 
-def _transfer_worker(task):
-    p, v, n_per_point, interval, b, seed, idx = task
-    child = np.random.SeedSequence((seed, idx))
-    return sample_output(p, v, n_per_point, interval, b, child)
-
-
-def _sweep_worker(task):
-    smtj, b, duration, dt, seed, idx = task
-    child = np.random.SeedSequence((seed, idx))
-    trace = sample_trajectory(smtj, b, duration, dt, child)
-    return (b, float(trace.values.mean()))
-
-
 def cmd_transfer(cfg: dict) -> None:
     p = _pbit_from_cfg(cfg)
     grid = _transfer_grid(cfg)
@@ -403,22 +378,10 @@ def cmd_transfer(cfg: dict) -> None:
     meta = _meta(cfg)
 
     b = cfg["b_field_T"] if cfg["b_field_T"] is not None else p.smtj.b_5050
-    if cfg["jobs"] > 1:
-        tasks = [
-            (p, v, cfg["n_per_point"], cfg["sample_interval_s"], b, int(cfg["seed"]), i)
-            for i, v in enumerate(grid)
-        ]
-        with concurrent.futures.ProcessPoolExecutor(max_workers=cfg["jobs"]) as pool:
-            sample_sets = list(pool.map(_transfer_worker, tasks))
-        points = tuple(
-            TransferPoint(v_in=v, samples=s, mean_v_out=float(s.mean()))
-            for v, s in zip(grid, sample_sets)
-        )
-        curve = TransferCurve(points=points)
-    else:
-        curve = transfer_curve(
-            p, grid, cfg["n_per_point"], cfg["sample_interval_s"], b, cfg["seed"]
-        )
+    curve = transfer_curve(
+        p, grid, cfg["n_per_point"], cfg["sample_interval_s"], b, cfg["seed"],
+        jobs=cfg["jobs"],
+    )
 
     if len(grid) >= 4:
         try:

@@ -10,17 +10,19 @@ soft-switching non-idealities.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import curve_fit
-from scipy.special import expit
 
+from .analysis import curve_fit
 from .smtj import (
     MtjState,
     SmtjParams,
+    _expit,
+    _map_points,
     _seed_entropy,
     r_antiparallel,
     states_at,
@@ -170,7 +172,7 @@ def output_voltage(p: PbitParams, v_in: float, state: MtjState) -> float:
     inv = p.inverter
     if math.isinf(inv.gain):
         return p.v_dd if v_d < inv.v_switch else 0.0
-    return p.v_dd * float(expit(inv.gain * (inv.v_switch - v_d) / p.v_dd))
+    return p.v_dd * _expit(inv.gain * (inv.v_switch - v_d) / p.v_dd)
 
 
 def calibrate_match(p: PbitParams) -> NmosParams:
@@ -216,22 +218,30 @@ def sample_output(
 
 
 def transfer_curve(
-    p: PbitParams, v_in_grid, n_per_point: int, sample_interval: float, b: float, seed
+    p: PbitParams, v_in_grid, n_per_point: int, sample_interval: float, b: float, seed,
+    jobs: int = 1,
 ) -> TransferCurve:
     """Sample the output at every grid input and average per point.
 
     Point i runs on its own stream seeded by SeedSequence((seed, i)), so
-    extending the grid never perturbs existing points.
+    extending the grid never perturbs existing points and jobs > 1 worker
+    processes give the same curve.
     """
     grid = [float(v) for v in v_in_grid]
     if not grid:
         raise ValueError("v_in_grid must not be empty")
-    points = []
-    for i, v in enumerate(grid):
-        child = np.random.SeedSequence((_seed_entropy(seed), i))
-        samples = sample_output(p, v, n_per_point, sample_interval, b, child)
-        points.append(TransferPoint(v_in=v, samples=samples, mean_v_out=float(samples.mean())))
-    return TransferCurve(points=tuple(points))
+    point = functools.partial(
+        _transfer_point, p, n_per_point, sample_interval, b, _seed_entropy(seed)
+    )
+    return TransferCurve(points=tuple(_map_points(point, grid, jobs)))
+
+
+def _transfer_point(
+    p: PbitParams, n: int, sample_interval: float, b: float, entropy: int, i: int, v: float
+) -> TransferPoint:
+    child = np.random.SeedSequence((entropy, i))
+    samples = sample_output(p, v, n, sample_interval, b, child)
+    return TransferPoint(v_in=v, samples=samples, mean_v_out=float(samples.mean()))
 
 
 def fit_sigmoid(v_in, means, v_dd: float) -> tuple[float, float]:
@@ -240,6 +250,8 @@ def fit_sigmoid(v_in, means, v_dd: float) -> tuple[float, float]:
     Returns (center, width) in volts.  Raises SigmoidFitDiverged when the
     least-squares solver runs out of evaluations.
     """
+    from scipy.special import expit  # the vectorised model the fit was pinned with
+
     v = np.asarray(v_in, dtype=float)
     y = np.asarray(means, dtype=float)
     span = max(v.max() - v.min(), 1e-9)

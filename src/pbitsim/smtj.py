@@ -13,12 +13,14 @@ they are safe to call concurrently.
 
 from __future__ import annotations
 
+import concurrent.futures
 import enum
+import functools
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 # Occupancies closer than this to 0 or 1 are treated as pinned: the minority
 # dwell time underflows and the trace degenerates to a constant level.
@@ -232,7 +234,20 @@ def occupancy_ap(p: SmtjParams, b: float) -> float:
     with increasing b.
     """
     scale = p.window_width / OCC_WINDOW_DIVISOR
-    return float(expit(-(b - p.b_5050) / scale))
+    return _expit(-(b - p.b_5050) / scale)
+
+
+def _expit(x: float) -> float:
+    """Scalar logistic 1 / (1 + exp(-x)), bit for bit scipy.special.expit.
+
+    SciPy's double kernel is this same expression over the C library's exp,
+    which math.exp calls too; only the overflow of exp(-x) for x below about
+    -709.78 needs a branch.
+    """
+    try:
+        return 1.0 / (1.0 + math.exp(-x))
+    except OverflowError:
+        return 0.0
 
 
 def dwell_times(p: SmtjParams, b: float) -> tuple[float, float]:
@@ -338,20 +353,39 @@ def sample_trajectory(
 
 
 def simulate_field_sweep(
-    p: SmtjParams, b_values, duration: float, dt: float, seed
+    p: SmtjParams, b_values, duration: float, dt: float, seed, jobs: int = 1
 ) -> list[tuple[float, float]]:
     """Time-averaged resistance at each field point of a sweep.
 
     Each point runs an independent trajectory of the given duration; its seed
     derives from (seed, point index) so adding points does not perturb the
-    others.  Returns a list of (b, mean resistance) pairs.
+    others, and jobs > 1 worker processes give the same points.  Returns a
+    list of (b, mean resistance) pairs.
     """
-    points = []
-    for i, b in enumerate(b_values):
-        child = np.random.SeedSequence((_seed_entropy(seed), i))
-        trace = sample_trajectory(p, float(b), duration, dt, child)
-        points.append((float(b), float(trace.values.mean())))
-    return points
+    point = functools.partial(_sweep_point, p, duration, dt, _seed_entropy(seed))
+    return _map_points(point, [float(b) for b in b_values], jobs)
+
+
+def _sweep_point(
+    p: SmtjParams, duration: float, dt: float, entropy: int, i: int, b: float
+) -> tuple[float, float]:
+    trace = sample_trajectory(p, b, duration, dt, np.random.SeedSequence((entropy, i)))
+    return b, float(trace.values.mean())
+
+
+def _map_points(point, items: list, jobs: int) -> list:
+    """[point(i, x) for i, x in enumerate(items)], over jobs worker processes.
+
+    Callers seed point i from (seed, i) alone, so the list does not depend on
+    jobs.  point must pickle (a module-level function or a functools.partial
+    of one) when jobs > 1.
+    """
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
+    if jobs == 1:
+        return [point(i, x) for i, x in enumerate(items)]
+    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(point, range(len(items)), items))
 
 
 def _seed_entropy(seed) -> int:

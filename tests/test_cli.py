@@ -37,6 +37,84 @@ def dir_bytes(path):
     return {f.name: f.read_bytes() for f in sorted(path.iterdir())}
 
 
+# SHA-256 of outputs whose values pass through the scalar logistic (field
+# occupancy or the soft inverter), recorded while SciPy's expit computed it.
+PINNED_OUTPUTS = {
+    "field-sweep": (
+        ["field-sweep", "--seed", 1],
+        {
+            "window.json": "17d64b774bcb478e60b9b3cc37a43556864449237652ccba917c4d10c1feebaa",
+            "sweep.csv": "d5efb74594f473a591aa19eee3bf1114b6d3ea28d1a4dcc8fcc4efc4756ed4a6",
+        },
+    ),
+    "transfer-soft": (
+        ["transfer", "--seed", 1, "--inverter-gain", 40],
+        {
+            "curve.csv": "0556f959c7cae8ffc06f9390e7613cbc733e4bba23461a7ef66f888965a4752d",
+            "sigmoid.json": "2adb91a8703a1cb3354dced3299aba773b6c593c217cae467e688c3dc340cb1f",
+        },
+    ),
+    "gate-empirical": (
+        ["gate", "--activation", "empirical", "--clamp-c", 1, "--seed", 1, "--sweeps", 20_000],
+        {
+            "and_c1_histogram.csv": "e21adb510e5641c54c1f8c0a929e84a8c0242aaed27c4a2dbe1611d7728e7ec3",
+            "and_c1_summary.json": "9906b4a690070c621281d161b5126c543f48e59d8ba9faca9a177cb661ea8294",
+        },
+    ),
+    "trace-off-centre": (
+        ["smtj-trace", "--seed", 1, "--duration-s", 5, "--b-field-T=-7.3e-3"],
+        {
+            "analysis.json": "b99342dd5a994d7dd5e6098632e894d40317b1ebe219c91355e4cd2abc44ea4f",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_OUTPUTS))
+def test_logistic_outputs_pinned(tmp_path, name):
+    argv, digests = PINNED_OUTPUTS[name]
+    assert run(*argv, "--out-dir", tmp_path) == 0
+    got = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in digests}
+    assert got == digests
+
+
+# Runs in a fresh interpreter: the test suite itself has SciPy loaded.
+_SCIPY_PROBE = """
+import json, sys
+import pbitsim.cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+out = sys.argv[1]
+report = {"after_import": scipy_modules()}
+report["codes"] = [
+    pbitsim.cli.main(["metrics", "--out-dir", out + "/metrics"]),
+    pbitsim.cli.main(["gate", "--sweeps", "2000", "--out-dir", out + "/gate"]),
+    pbitsim.cli.main(["field-sweep", "--point-duration-s", "0.05", "--out-dir", out + "/sweep"]),
+]
+report["after_unfitted"] = scipy_modules()
+report["codes"].append(
+    pbitsim.cli.main(["transfer", "--n-per-point", "20", "--out-dir", out + "/transfer"])
+)
+report["optimize_after_transfer"] = "scipy.optimize" in sys.modules
+print(json.dumps(report))
+"""
+
+
+def test_scipy_loads_only_for_fits(tmp_path):
+    result = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, str(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True,
+        check=True, timeout=120,
+    )
+    report = json.loads(result.stdout)
+    assert report["after_import"] == []
+    assert report["codes"] == [0, 0, 0, 0]
+    assert report["after_unfitted"] == []
+    assert report["optimize_after_transfer"]
+
+
 class TestSmtjTrace:
     def test_default_device_analysis(self, tmp_path):
         code = run(

@@ -1,24 +1,28 @@
 import hashlib
 import io
 import json
+import math
 import os
+import struct
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import special, stats
 
 from pbitsim.smtj import (
     _CSV_ROWS,
     MtjState,
     SmtjParams,
     TelegraphTrace,
+    _expit,
     dwell_times,
     occupancy_ap,
     r_antiparallel,
     sample_trajectory,
+    simulate_field_sweep,
     switching_times,
 )
 
@@ -90,6 +94,35 @@ class TestOccupancy:
             assert o_hi < o_lo
 
 
+class TestExpit:
+    # occupancy_ap sets the trajectory's draws, so the scalar logistic must
+    # round exactly as scipy.special.expit does
+    @staticmethod
+    def assert_matches_scipy(x):
+        got, want = _expit(x), float(special.expit(x))
+        if math.isnan(x):
+            assert math.isnan(got)
+        else:
+            assert struct.pack("<d", got) == struct.pack("<d", want), (x, got, want)
+
+    @given(st.floats())
+    def test_bitwise_equal_to_scipy(self, x):
+        self.assert_matches_scipy(x)
+
+    @pytest.mark.parametrize(
+        "x",
+        [-709.78, -710.0, -1e308, 1e308, -math.inf, math.inf, math.nan, 0.0, -0.0, 36.7, -745.2],
+    )
+    def test_edges_equal_to_scipy(self, x):
+        self.assert_matches_scipy(x)
+
+    def test_dense_grid_equal_to_scipy(self):
+        rng = np.random.default_rng(0)
+        xs = np.concatenate([np.linspace(-750.0, 750.0, 150_001), 30.0 * rng.standard_normal(50_000)])
+        got = np.array([_expit(x) for x in xs.tolist()])
+        assert np.array_equal(got.view(np.uint64), special.expit(xs).view(np.uint64))
+
+
 class TestDwellTimes:
     def test_equal_at_5050(self):
         assert dwell_times(SLOW, SLOW.b_5050) == (SLOW.tau_mean, SLOW.tau_mean)
@@ -153,6 +186,18 @@ class TestSampleTrajectory:
     def test_warns_on_coarse_dt(self):
         with pytest.warns(UserWarning, match="dwells"):
             sample_trajectory(SLOW, SLOW.b_5050, 0.2, 1e-3, seed=0)
+
+
+class TestFieldSweepJobs:
+    def test_workers_match_serial(self):
+        grid = FAST.b_5050 + 0.05e-3 * np.arange(-2, 3)
+        seed = np.random.SeedSequence(21)
+        serial = simulate_field_sweep(FAST, grid, 0.01, 2e-6, seed)
+        assert simulate_field_sweep(FAST, grid, 0.01, 2e-6, seed, jobs=2) == serial
+
+    def test_jobs_below_one_rejected(self):
+        with pytest.raises(ValueError, match="jobs"):
+            simulate_field_sweep(FAST, [FAST.b_5050], 0.01, 2e-6, seed=1, jobs=0)
 
 
 class TestStatisticalInvariants:
