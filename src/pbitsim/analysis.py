@@ -397,6 +397,12 @@ def _longest_true_block(mask: np.ndarray) -> tuple[int, int]:
     return int(idx[starts[best]]), int(idx[ends[best]])
 
 
+def bias_sidecar(path) -> Path:
+    """The JSON sidecar `<file>.json` that holds a voltage export's bias_current_A."""
+    path = Path(path)
+    return path.with_suffix(path.suffix + ".json")
+
+
 def load_trace(
     path, bias_current: float | None = None, offset_ohm: float = 0.0
 ) -> TelegraphTrace:
@@ -420,7 +426,7 @@ def load_trace(
         dt, values, labels = _read_rows(path, index + 1, labeled=len(cols) > 2)
     elif cols[:2] == ["time_s", "voltage_V"]:
         if bias_current is None:
-            sidecar = path.with_suffix(path.suffix + ".json")
+            sidecar = bias_sidecar(path)
             if not sidecar.exists():
                 raise ValueError(
                     f"voltage trace needs a bias current: pass one or add {sidecar.name}"

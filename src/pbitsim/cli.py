@@ -24,6 +24,7 @@ from .analysis import (
     FieldSweep,
     LevelEstimate,
     autocorrelation,
+    bias_sidecar,
     extract_stochastic_window,
     fit_dwell_time,
     load_trace,
@@ -72,13 +73,7 @@ class ConfigError(Exception):
     """Invalid or inconsistent configuration; maps to exit code 2."""
 
 
-SMTJ_DEFAULTS = {
-    "r_parallel_ohm": 27.6e3,
-    "tmr": 0.145,
-    "tau_mean_s": 4.2e-3,
-    "b_5050_T": -7.22e-3,
-    "window_width_T": 0.6e-3,
-}
+SMTJ_DEFAULTS = SmtjParams().to_json()
 
 TRACE_DEFAULTS = {
     **SMTJ_DEFAULTS,
@@ -88,7 +83,9 @@ TRACE_DEFAULTS = {
     "duration_s": 50.0,  # reference acquisition length
     "dt_s": 1e-5,  # 100 kHz sampling
     "input_trace": None,
-    "bias_current_A": 1e-5,  # DC read current for voltage-trace conversion
+    # DC read current for voltage-trace conversion when neither a flag, the
+    # config file nor the export's sidecar gives one
+    "bias_current_A": 1e-5,
     "offset_ohm": 0.0,
     "svg": False,
 }
@@ -145,8 +142,10 @@ METRICS_DEFAULTS = {
 }
 
 
-def _resolve(defaults: dict, config_path, overrides: dict) -> dict:
+def _resolve(defaults: dict, config_path, overrides: dict) -> tuple[dict, set]:
+    """Defaults < config file < flags, and the set of keys the file or a flag gave."""
     cfg = dict(defaults)
+    given = set()
     if config_path is not None:
         try:
             with open(config_path) as f:
@@ -157,10 +156,12 @@ def _resolve(defaults: dict, config_path, overrides: dict) -> dict:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         cfg.update(file_cfg)
+        given.update(file_cfg)
     for key, value in overrides.items():
         if value is not None:
             cfg[key] = value
-    return cfg
+            given.add(key)
+    return cfg, given
 
 
 _UNHASHED_KEYS = {"out_dir", "jobs"}  # execution details that cannot change results
@@ -196,13 +197,7 @@ def _require(cond: bool, message: str) -> None:
 
 def _smtj_from_cfg(cfg: dict) -> SmtjParams:
     try:
-        return SmtjParams(
-            r_parallel=cfg["r_parallel_ohm"],
-            tmr=cfg["tmr"],
-            tau_mean=cfg["tau_mean_s"],
-            b_5050=cfg["b_5050_T"],
-            window_width=cfg["window_width_T"],
-        )
+        return SmtjParams.from_json(cfg)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -210,7 +205,7 @@ def _smtj_from_cfg(cfg: dict) -> SmtjParams:
 # ---------------------------------------------------------------- smtj-trace
 
 
-def cmd_smtj_trace(cfg: dict) -> None:
+def cmd_smtj_trace(cfg: dict, given: set) -> None:
     smtj = _smtj_from_cfg(cfg)
     analyze_only = cfg["input_trace"] is not None
     if analyze_only:
@@ -224,11 +219,12 @@ def cmd_smtj_trace(cfg: dict) -> None:
     meta = _meta(cfg)
 
     if analyze_only:
-        trace = load_trace(
-            cfg["input_trace"],
-            bias_current=cfg["bias_current_A"],
-            offset_ohm=cfg["offset_ohm"],
-        )
+        # a voltage export's sidecar overrides the default bias current, not
+        # one given as a flag or in the config file
+        bias = cfg["bias_current_A"]
+        if "bias_current_A" not in given and bias_sidecar(cfg["input_trace"]).exists():
+            bias = None
+        trace = load_trace(cfg["input_trace"], bias_current=bias, offset_ohm=cfg["offset_ohm"])
     else:
         b = cfg["b_field_T"] if cfg["b_field_T"] is not None else smtj.b_5050
         trace = sample_trajectory(smtj, b, cfg["duration_s"], cfg["dt_s"], cfg["seed"])
@@ -277,7 +273,7 @@ def cmd_smtj_trace(cfg: dict) -> None:
 # --------------------------------------------------------------- field-sweep
 
 
-def cmd_field_sweep(cfg: dict) -> None:
+def cmd_field_sweep(cfg: dict, given: set) -> None:
     smtj = _smtj_from_cfg(cfg)
     _require(cfg["b_step_T"] > 0, "b_step_T must be > 0")
     _require(cfg["b_max_T"] > cfg["b_min_T"], "b_max_T must exceed b_min_T")
@@ -368,7 +364,7 @@ def _transfer_grid(cfg: dict) -> list:
     return grid
 
 
-def cmd_transfer(cfg: dict) -> None:
+def cmd_transfer(cfg: dict, given: set) -> None:
     p = _pbit_from_cfg(cfg)
     grid = _transfer_grid(cfg)
     _require(cfg["n_per_point"] >= 1, "n_per_point must be >= 1")
@@ -445,7 +441,7 @@ def _default_empirical_activation(seed: int) -> EmpiricalActivation:
     return EmpiricalActivation.from_transfer_curve(curve, p.v_dd)
 
 
-def cmd_gate(cfg: dict) -> None:
+def cmd_gate(cfg: dict, given: set) -> None:
     _require(cfg["gate"] in ("and", "or"), "gate must be 'and' or 'or'")
     _require(cfg["clamp_c"] in (None, 0, 1), "clamp_c must be 0, 1 or omitted")
     _require(cfg["i0"] > 0, "i0 must be > 0")
@@ -514,7 +510,7 @@ def cmd_gate(cfg: dict) -> None:
 # ------------------------------------------------------------------- metrics
 
 
-def cmd_metrics(cfg: dict) -> None:
+def cmd_metrics(cfg: dict, given: set) -> None:
     out = _out_dir(cfg)
     with open(out / "perf_points.csv", "w", newline="") as f:
         f.write(_meta(cfg) + "\n")
@@ -625,8 +621,7 @@ def main(argv=None) -> int:
     config_path = args.pop("config", None)
     defaults, runner = _COMMANDS[command]
     try:
-        cfg = _resolve(defaults, config_path, args)
-        runner(cfg)
+        runner(*_resolve(defaults, config_path, args))
     except ConfigError as exc:
         print(f"pbitsim: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -142,21 +142,33 @@ class TelegraphTrace:
         """Write `time_s,resistance_ohm,state` rows (state column only when labeled).
 
         Row k holds `k * sample_interval` and the sample, both `%.12g`.  Rows
-        are formatted _CSV_ROWS at a time, so memory stays bounded.
+        are rendered _CSV_ROWS at a time into a byte matrix (see _render_g12),
+        so memory stays bounded.
         """
         labeled = self.labels is not None
         file.write("time_s,resistance_ohm,state\n" if labeled else "time_s,resistance_ohm\n")
-        row, width = ("%.12g,%.12g,%s\n", 3) if labeled else ("%.12g,%.12g\n", 2)
+        # row layout: time cell, ',', sample cell, [',', state cell,] '\n'
+        sample_at = _G12_WIDTH + 1
+        width = 2 * sample_at + (3 if labeled else 0)
         n = self.values.size
         for start in range(0, n, _CSV_ROWS):
             stop = min(start + _CSV_ROWS, n)
-            cells = [None] * (width * (stop - start))
-            # int64 * float64 rounds exactly as the scalar k * dt
-            cells[0::width] = (np.arange(start, stop) * self.sample_interval).tolist()
-            cells[1::width] = self.values[start:stop].tolist()
+            rows = np.zeros((stop - start, width), dtype=np.uint8)
+            rows[:, sample_at - 1] = ord(",")
+            rows[:, -1] = ord("\n")
             if labeled:
-                cells[2::width] = np.where(self.labels[start:stop] != 0, "AP", "P").tolist()
-            file.write(row * (stop - start) % tuple(cells))
+                rows[:, -4] = ord(",")
+                anti = self.labels[start:stop] != 0
+                rows[:, -3] = np.where(anti, ord("A"), ord("P"))
+                rows[:, -2] = np.where(anti, ord("P"), 0)
+            # int64 * float64 rounds exactly as the scalar k * dt
+            times = np.arange(start, stop) * self.sample_interval
+            left = [
+                (at, x, _render_g12(x, rows[:, at : at + _G12_WIDTH]))
+                for at, x in ((0, times), (sample_at, self.values[start:stop]))
+            ]
+            _render_g12_slow(rows, left)
+            file.write(rows[rows != 0].tobytes().decode("ascii"))
 
     @classmethod
     def from_csv(cls, file) -> "TelegraphTrace":
@@ -169,6 +181,105 @@ class TelegraphTrace:
             raise TraceFormatError(f"unexpected trace header: {','.join(cols)!r}")
         dt, values, labels = _read_rows(file, 0, labeled=len(cols) > 2)
         return cls(sample_interval=dt, values=values, labels=labels)
+
+
+# Widest %.12g cell: sign, 12 digits and a point, 'e', exponent sign, 3 digits.
+_G12_WIDTH = 19
+
+# 10**k for k = 0..15, each exact in float64.
+_POW10 = np.array([float(10**k) for k in range(16)])
+
+# Digit values of 00 .. 99, first digit in the first byte.
+_DIGIT_PAIRS = np.array([k // 10 | k % 10 << 8 for k in range(100)], dtype="<u2")
+
+# _BYTE_MASKS[k] covers the first k bytes of a little-endian uint64.
+_BYTE_MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype="<u8")
+_ASCII_ZEROS = np.uint64(0x3030303030303030)
+
+
+def _render_g12(x: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """Write `%.12g` of x into the rows of cells, a NUL-filled uint8 matrix.
+
+    Renders the values whose 12-digit rounding prints in fixed notation
+    (decimal exponent e in [-4, 11]) and is decided beyond doubt.  The power
+    of ten is exact, so r = |x| * 10**(11 - e) is off by at most half an ulp.
+    When 10**11 <= r and frac(r) is more than two ulps from one half,
+    m = floor(r) + (frac(r) > 0.5) is the correctly rounded mantissa, and
+    m < 10**12 confirms the exponent.  Bytes a cell does not use stay NUL.
+    Returns the indices of every other value (zero, non-finite, exponent
+    form, near a tie); their cells are left all NUL for _render_g12_slow.
+    """
+    a = np.abs(x)
+    with np.errstate(all="ignore"):
+        e = np.floor(np.log10(a))
+    ok = (e >= -4) & (e <= 11)
+    e = np.where(ok, e, 0).astype(np.intp)
+    r = np.where(ok, a, 1.0) * _POW10[11 - e]
+    whole = np.floor(r)
+    frac = r - whole
+    m = whole.astype(np.int64) + (frac > 0.5)
+    ok &= (np.abs(frac - 0.5) > 2 * np.spacing(r)) & (whole >= 10**11) & (m < 10**12)
+    # digit values of the mantissa in bytes 0..11 of two uint64 words per row
+    words = np.zeros((x.size, 2), dtype="<u8")
+    pairs = words.view("<u2")
+    for column, half in enumerate(np.divmod(np.where(ok, m, 10**11), 10**6)):
+        half = half.astype(np.int32)
+        pairs[:, 3 * column] = _DIGIT_PAIRS.take(half // 10**4)
+        pairs[:, 3 * column + 1] = _DIGIT_PAIRS.take(half // 100 % 100)
+        pairs[:, 3 * column + 2] = _DIGIT_PAIRS.take(half % 100)
+    # index of the last nonzero digit, from the top set bit of each word;
+    # digits are at most 9, so the float conversion cannot round a byte up
+    high = (np.frexp(words[:, 1].astype(float))[1] - 1) // 8
+    low = (np.frexp(words[:, 0].astype(float))[1] - 1) // 8
+    last = np.where(high >= 0, 8 + high, low)
+    # ASCII for the integer digits and the digits up to the last nonzero one,
+    # NUL for the trailing zeros of the fraction
+    keep = np.maximum(last, e) + 1
+    words[:, 0] |= _ASCII_ZEROS & _BYTE_MASKS.take(np.minimum(keep, 8))
+    words[:, 1] |= _ASCII_ZEROS & _BYTE_MASKS.take(np.maximum(keep - 8, 0))
+    digits = words.view(np.uint8)[:, :12]
+    point = np.where(last > e, ord("."), 0).astype(np.uint8)
+    cells[x < 0, 0] = ord("-")
+    # lay out the most common exponent on every row, then redo the rows of
+    # the others: e >= 0 puts the point after digit e, e < 0 writes "0.000"
+    counts = np.bincount(e[ok] + 4, minlength=16)
+    order = np.argsort(-counts, kind="stable")[: np.count_nonzero(counts)]
+    for rank, exp in enumerate(order - 4):
+        sel = slice(None) if rank == 0 else np.flatnonzero(ok & (e == exp))
+        if rank:
+            cells[sel, 1:] = 0
+        if exp >= 0:
+            cells[sel, 1 : exp + 2] = digits[sel, : exp + 1]
+            cells[sel, exp + 2] = point[sel]
+            cells[sel, exp + 3 : 14] = digits[sel, exp + 1 :]
+        else:
+            cells[sel, 1 : 2 - exp] = ord("0")
+            cells[sel, 2] = ord(".")
+            cells[sel, 2 - exp : 14 - exp] = digits[sel]
+    left = np.flatnonzero(~ok)
+    cells[left] = 0
+    return left
+
+
+def _render_g12_slow(rows: np.ndarray, left: list) -> None:
+    """Fill the cells _render_g12 left with one batched `%.12g` over all of them.
+
+    rows is the row matrix; left holds (first column of the cell, values,
+    indices _render_g12 returned) for each rendered column.
+    """
+    values = [v for _, x, idx in left for v in x[idx].tolist()]
+    if not values:
+        return
+    text = ("%.12g\n" * len(values)) % tuple(values)
+    text = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    ends = np.flatnonzero(text == ord("\n"))
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    dest = np.concatenate([idx * rows.shape[1] + at for at, _, idx in left])
+    # byte i of the text, in cell c, lands at dest[c] + i - starts[c]
+    cell = np.repeat(np.arange(len(values)), ends - starts + 1)
+    shift = dest - starts
+    chars = text != ord("\n")
+    rows.reshape(-1)[(shift[cell] + np.arange(text.size))[chars]] = text[chars]
 
 
 def _trace_header(lines) -> tuple[int, list[str]]:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import pbitsim
+from pbitsim.analysis import load_trace, threshold_states
 from pbitsim.cli import main
 from pbitsim.smtj import SmtjParams, sample_trajectory
 
@@ -192,6 +193,39 @@ class TestSmtjTrace:
         assert hashlib.sha256(body).hexdigest() == (
             "c1fe101281b3ef78ffb8d42a8f6841b00db167a2963fa7da254bede56f5e9723"
         )
+
+    @pytest.fixture
+    def scope_20ua(self, tmp_path):
+        """A voltage export read at 20 uA, with a sidecar that says so."""
+        fast = SmtjParams(tmr=0.30, tau_mean=68.9e-6, window_width=0.2e-3)
+        src = sample_trajectory(fast, fast.b_5050, 0.2, 2e-6, seed=35)
+        scope = tmp_path / "scope.csv"
+        np.savetxt(
+            scope, np.column_stack([src.times, src.values * 2e-5]), fmt="%.7f,%.9g",
+            header="time_s,voltage_V", comments="",
+        )
+        (tmp_path / "scope.csv.json").write_text(json.dumps({"bias_current_A": 2e-5}))
+        return scope
+
+    def test_voltage_trace_reads_sidecar(self, tmp_path, scope_20ua):
+        out = tmp_path / "out"
+        assert run("smtj-trace", "--out-dir", out, "--input-trace", scope_20ua) == 0
+        levels, _ = threshold_states(load_trace(scope_20ua))
+        result = read_json(out / "analysis.json")
+        assert result["r_low_ohm"] == levels.r_low
+        assert result["r_low_ohm"] == pytest.approx(27600.0, rel=1e-6)
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_given_bias_current_overrides_sidecar(self, tmp_path, scope_20ua, source):
+        out = tmp_path / "out"
+        if source == "flag":
+            args = ["--bias-current-A", 1e-5]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"bias_current_A": 1e-5}))
+            args = ["--config", cfg]
+        assert run("smtj-trace", "--out-dir", out, "--input-trace", scope_20ua, *args) == 0
+        assert read_json(out / "analysis.json")["r_low_ohm"] == pytest.approx(55200.0, rel=1e-6)
 
     @pytest.mark.parametrize(
         "rows",

@@ -8,7 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special, stats
 
@@ -226,6 +226,94 @@ class TestStatisticalInvariants:
         _, times = switching_times(SLOW, SLOW.b_5050, 1.0, rng)
         assert np.all(np.diff(times) > 0)
         assert times[-1] < 1.0
+
+
+def reference_csv(trace):
+    """The row-at-a-time writer that to_csv must reproduce byte for byte."""
+    dt = trace.sample_interval
+    values = trace.values.tolist()
+    if trace.labels is None:
+        rows = ["%.12g,%.12g\n" % (k * dt, x) for k, x in enumerate(values)]
+        return "time_s,resistance_ohm\n" + "".join(rows)
+    states = ["AP" if s else "P" for s in trace.labels.tolist()]
+    rows = ["%.12g,%.12g,%s\n" % (k * dt, x, s) for k, (x, s) in enumerate(zip(values, states))]
+    return "time_s,resistance_ohm,state\n" + "".join(rows)
+
+
+def _near(x: float, direction) -> float:
+    return x if direction is None else math.nextafter(x, direction)
+
+
+_NEIGHBOUR = st.sampled_from([None, -math.inf, math.inf])
+
+# Values next to the decisions %.12g makes: 10**k +- 1 ulp (a change of
+# exponent), exact 12-digit ties n + odd / 2**j with 13 - j integer digits,
+# and the doubles nearest the decimal ties m5 * 10**(e - 12) with their
+# neighbours, for every fixed-notation exponent e.
+_POWERS_OF_TEN = st.builds(
+    lambda k, d: _near(float(f"1e{k}"), d), st.integers(-8, 16), _NEIGHBOUR
+)
+_EXACT_TIES = st.integers(1, 12).flatmap(
+    lambda j: st.builds(
+        lambda n, odd: n + (2 * odd + 1) / 2**j,
+        st.integers(10 ** (12 - j), 10 ** (13 - j) - 1),
+        st.integers(0, 2 ** (j - 1) - 1),
+    )
+)
+_DECIMAL_TIES = st.builds(
+    lambda m, e, d: _near(float(f"{m}5e{e - 12}"), d),
+    st.integers(10**11, 10**12 - 1), st.integers(-4, 11), _NEIGHBOUR,
+)
+_SAMPLES = st.builds(
+    lambda x, negate: -x if negate else x,
+    st.one_of(
+        st.floats(),  # includes nan, inf, -0.0 and subnormals
+        st.floats(1e-5, 1e12),
+        st.integers(0, 10**7).map(lambda i: i / 1000),
+        _POWERS_OF_TEN,
+        _EXACT_TIES,
+        _DECIMAL_TIES,
+    ),
+    st.booleans(),
+)
+_INTERVALS = st.sampled_from([1e-5, 3.3e-6, 2e-6, 1e-9])
+
+
+class TestTraceCsvMatchesPerRowWriter:
+    @staticmethod
+    def assert_matches(trace):
+        buf = io.StringIO()
+        trace.to_csv(buf)
+        assert buf.getvalue() == reference_csv(trace)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_SAMPLES, min_size=1, max_size=300), _INTERVALS, st.booleans())
+    def test_arbitrary_samples(self, samples, dt, labeled):
+        labels = np.arange(len(samples)) % 3 == 0 if labeled else None
+        self.assert_matches(TelegraphTrace(dt, np.array(samples), labels))
+
+    # the 1e-9 grid prints its first 100k times in exponent form
+    @settings(max_examples=20, deadline=None)
+    @example(dt=1e-9, n=2 * _CSV_ROWS + 1, seed=0, planted=[], noisy=True, labeled=True)
+    @example(dt=1e-5, n=_CSV_ROWS + 1, seed=1, planted=[(_CSV_ROWS, -0.0)], noisy=False,
+             labeled=False)
+    @given(
+        dt=_INTERVALS,
+        n=st.sampled_from([_CSV_ROWS - 1, _CSV_ROWS, _CSV_ROWS + 1, 2 * _CSV_ROWS + 1]),
+        seed=st.integers(0, 2**32 - 1),
+        planted=st.lists(st.tuples(st.integers(_CSV_ROWS - 40, _CSV_ROWS + 40), _SAMPLES)),
+        noisy=st.booleans(),
+        labeled=st.booleans(),
+    )
+    def test_chunk_boundaries(self, dt, n, seed, planted, noisy, labeled):
+        # a two-level trace, with read noise or without, and samples planted
+        # around the first chunk boundary
+        rng = np.random.default_rng(seed)
+        anti = rng.random(n) < 0.5
+        values = np.where(anti, 35880.0, 27600.0) + noisy * rng.normal(0.0, 150.0, n)
+        for index, x in planted:
+            values[min(index, n - 1)] = x
+        self.assert_matches(TelegraphTrace(dt, values, anti if labeled else None))
 
 
 class TestTraceCsv:
