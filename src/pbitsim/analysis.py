@@ -32,7 +32,8 @@ class ZeroVariance(AnalysisError):
 
 
 class FitDiverged(AnalysisError):
-    """Raised when the exponential ACF fit is out of range or too poor."""
+    """Raised when a least-squares fit does not converge, or when the
+    exponential ACF fit is out of range or too poor."""
 
 
 class TooFewTransitions(AnalysisError):
@@ -209,14 +210,27 @@ def _two_levels_of(x: np.ndarray) -> tuple[float, float] | None:
 
 
 def _acf_fft(x: np.ndarray, max_lag: int) -> np.ndarray:
-    import scipy.fft
-
     n = x.size
     xc = x - x.mean()
-    m = scipy.fft.next_fast_len(n + max_lag + 1)
-    f = scipy.fft.rfft(xc, m)
-    corr = scipy.fft.irfft(f * f.conj(), m)[: max_lag + 1]
+    # any length >= n + max_lag + 1 keeps the circular correlation linear
+    m = _next_fast_len(n + max_lag + 1)
+    f = np.fft.rfft(xc, m)
+    corr = np.fft.irfft(f * f.conj(), m)[: max_lag + 1]
     return corr / corr[0]
+
+
+def _next_fast_len(target: int) -> int:
+    """Smallest 2**a * 3**b * 5**c >= target, a length numpy.fft transforms fast."""
+    best = 1 << (target - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # p35 times the smallest power of two that reaches target
+            best = min(best, p35 << (-(-target // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def _acf_two_level(z: np.ndarray, max_lag: int) -> np.ndarray:
@@ -277,14 +291,89 @@ def _acf_two_level(z: np.ndarray, max_lag: int) -> np.ndarray:
 _SPIKE_PAIR_BUDGET = 2e7
 
 
-def curve_fit(*args, **kwargs):
-    """scipy.optimize.curve_fit, imported on first call.
+# Step budget of _least_squares; the fits here take 6-12 steps at the median
+# and about 60 at most.
+_FIT_MAX_STEPS = 200
 
-    Only the fits need SciPy, so commands that fit nothing never load it.
+
+def _least_squares(model, y, p0, lower, upper) -> tuple[np.ndarray, np.ndarray]:
+    """Minimise |model(p) - y|^2 over the box lower <= p <= upper.
+
+    model(p) returns the prediction and its Jacobian J; returns p and the
+    residuals r = model(p) - y.  Levenberg-Marquardt (Moré, LNM 630, 1978)
+    with Marquardt's scaling: each step solves [J; sqrt(damping * diag(J^T J))]
+    step = [-r; 0] by least squares, and the damping falls tenfold after a
+    trial that lowers the cost and rises tenfold after one that does not (a
+    non-finite cost or Jacobian included).  A parameter on a bound its
+    gradient pushes against stays there; a step that would cross a bound goes
+    half way to the first bound it crosses and the other parameters step
+    again given that, so that one long step cannot land on a bound where a
+    logistic's gradient vanishes.  Converges when an accepted step moves no
+    parameter by more than 1e-12 relative or lowers the cost by at most 1e-14
+    relative, when the gradient or the step vanishes, or when the residuals
+    are at the rounding level of y.  Raises FitDiverged when the starting
+    point gives non-finite residuals or _FIT_MAX_STEPS trial steps do not
+    converge.
     """
-    from scipy.optimize import curve_fit as scipy_curve_fit
-
-    return scipy_curve_fit(*args, **kwargs)
+    y = np.asarray(y, dtype=float)
+    lower = np.asarray(lower, dtype=float)
+    upper = np.asarray(upper, dtype=float)
+    floor = (np.finfo(float).eps * np.linalg.norm(y)) ** 2
+    p = np.clip(np.asarray(p0, dtype=float), lower, upper)
+    with np.errstate(all="ignore"):  # overflow is a large residual, not an error
+        f, jac = model(p)
+    r = f - y
+    cost = r @ r
+    if not (np.isfinite(cost) and np.isfinite(jac).all()):
+        raise FitDiverged("least squares: non-finite residuals at the starting point")
+    damping = 1e-3
+    for _ in range(_FIT_MAX_STEPS):
+        if cost <= floor:
+            return p, r
+        grad = jac.T @ r
+        scale = np.einsum("ij,ij->j", jac, jac)
+        # a bound counts as reached within 1e-10 relative: a parameter that
+        # halves its distance each step gets there before its steps converge
+        at_lower = p - lower <= 1e-10 * np.abs(p)
+        at_upper = upper - p <= 1e-10 * np.abs(p)
+        held = (at_lower & (grad > 0)) | (at_upper & (grad < 0))
+        free = (scale > 0) & ~held
+        if not np.any(grad[free]):
+            return p, r
+        step = np.zeros(p.size)
+        while np.any(free):
+            rest = r + jac[:, ~free] @ step[~free]
+            step[free] = np.linalg.lstsq(
+                np.vstack([jac[:, free], np.diag(np.sqrt(damping * scale[free]))]),
+                np.concatenate([-rest, np.zeros(np.count_nonzero(free))]),
+                rcond=None,
+            )[0]
+            room = np.abs(np.where(step < 0, lower, upper) - p)
+            crossing = np.flatnonzero(free & (np.abs(step) > room))
+            if not crossing.size:
+                break
+            # half way to the first bound crossed; the rest step again given that
+            first = crossing[np.argmin(room[crossing] / np.abs(step[crossing]))]
+            step[first] = 0.5 * np.copysign(room[first], step[first])
+            free[first] = False
+        trial = p + step
+        if np.array_equal(trial, p):
+            return p, r
+        with np.errstate(all="ignore"):
+            f_trial, jac_trial = model(trial)
+        r_trial = f_trial - y
+        cost_trial = r_trial @ r_trial
+        if cost_trial < cost and np.isfinite(jac_trial).all():
+            done = cost - cost_trial <= 1e-14 * cost or np.all(
+                np.abs(trial - p) <= 1e-12 * np.abs(trial)
+            )
+            p, r, jac, cost = trial, r_trial, jac_trial, cost_trial
+            damping = max(0.1 * damping, 1e-16)
+            if done:
+                return p, r
+        else:
+            damping *= 10.0
+    raise FitDiverged(f"least squares did not converge in {_FIT_MAX_STEPS} steps")
 
 
 def fit_dwell_time(acf, dt: float, occupancy: float) -> DwellEstimate:
@@ -311,13 +400,13 @@ def fit_dwell_time(acf, dt: float, occupancy: float) -> DwellEstimate:
     crossing = np.flatnonzero(af < np.exp(-1.0))
     tau0 = tf[int(crossing[0])] if crossing.size else tf[-1]
     tau0 = max(tau0, dt)
-    try:
-        (tau_corr,), _ = curve_fit(
-            lambda tt, tau: np.exp(-tt / tau), tf, af, p0=[tau0], maxfev=2000
-        )
-    except RuntimeError as exc:  # least squares ran out of evaluations
-        raise FitDiverged(str(exc)) from exc
-    rmse = float(np.sqrt(np.mean((np.exp(-tf / tau_corr) - af) ** 2)))
+
+    def model(p):
+        decay = np.exp(-tf / p[0])
+        return decay, (decay * tf / p[0] ** 2)[:, None]
+
+    (tau_corr,), resid = _least_squares(model, af, [tau0], [-np.inf], [np.inf])
+    rmse = float(np.sqrt(np.mean(resid ** 2)))
 
     span = t[-1] + dt  # longest scale this ACF can witness
     if rmse > 0.1 or not dt < tau_corr < span:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import curve_fit
+from .analysis import FitDiverged, _least_squares
 from .smtj import (
     MtjState,
     SmtjParams,
@@ -245,27 +245,33 @@ def _transfer_point(
 
 
 def fit_sigmoid(v_in, means, v_dd: float) -> tuple[float, float]:
-    """Least-squares logistic fit mean = v_dd * expit((v - center) / width).
+    """Least-squares logistic fit mean = v_dd / (1 + exp(-(v - center) / width)).
 
-    Returns (center, width) in volts.  Raises SigmoidFitDiverged when the
-    least-squares solver runs out of evaluations.
+    Returns (center, width) in volts; center is bounded to the grid widened by
+    its span on each side, width to [1e-6, 10] spans.  Raises
+    SigmoidFitDiverged when the least-squares solver does not converge.
     """
-    from scipy.special import expit  # the vectorised model the fit was pinned with
-
     v = np.asarray(v_in, dtype=float)
     y = np.asarray(means, dtype=float)
     span = max(v.max() - v.min(), 1e-9)
     c0 = v[int(np.argmin(np.abs(y - v_dd / 2)))]
+
+    def model(p):
+        center, width = p
+        z = (v - center) / width
+        s = 1.0 / (1.0 + np.exp(-z))
+        slope = v_dd * s * (1.0 - s) / width
+        return v_dd * s, np.column_stack([-slope, -slope * z])
+
     try:
-        (center, width), _ = curve_fit(
-            lambda vv, c, w: v_dd * expit((vv - c) / w),
-            v,
+        (center, width), _ = _least_squares(
+            model,
             y,
-            p0=[c0, span / 20],
-            bounds=([v.min() - span, 1e-6 * span], [v.max() + span, 10 * span]),
-            maxfev=5000,
+            [c0, span / 20],
+            [v.min() - span, 1e-6 * span],
+            [v.max() + span, 10 * span],
         )
-    except RuntimeError as exc:
+    except FitDiverged as exc:
         raise SigmoidFitDiverged(str(exc)) from exc
     return float(center), float(width)
 

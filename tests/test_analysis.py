@@ -2,8 +2,10 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given
+import scipy.fft
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import curve_fit
 
 from pbitsim.analysis import (
     FieldSweep,
@@ -16,6 +18,7 @@ from pbitsim.analysis import (
     ZeroVariance,
     _acf_fft,
     _acf_two_level,
+    _next_fast_len,
     autocorrelation,
     extract_stochastic_window,
     fit_dwell_time,
@@ -180,12 +183,9 @@ class TestFitDwellTime:
                 fit_dwell_time(acf, 1e-5, occ)
 
     def test_exhausted_optimizer_diverges(self, monkeypatch):
-        def exhausted(*args, **kwargs):
-            raise RuntimeError("Optimal parameters not found: maxfev reached")
-
-        monkeypatch.setattr("pbitsim.analysis.curve_fit", exhausted)
+        monkeypatch.setattr("pbitsim.analysis._FIT_MAX_STEPS", 0)
         acf = np.column_stack([np.arange(10) * 1e-5, np.exp(-np.arange(10) / 3)])
-        with pytest.raises(FitDiverged, match="maxfev"):
+        with pytest.raises(FitDiverged, match="did not converge"):
             fit_dwell_time(acf, 1e-5, 0.5)
 
     def test_tau_out_of_range_diverges(self):
@@ -194,6 +194,61 @@ class TestFitDwellTime:
         acf = np.column_stack([lags, np.full(5, 0.9999)])
         with pytest.raises(FitDiverged):
             fit_dwell_time(acf, 1e-6, 0.5)
+
+
+def scipy_dwell_fit(acf, dt, **tolerances):
+    """The fit fit_dwell_time made with scipy.optimize.curve_fit, and its SSE."""
+    t, a = acf[:, 0], acf[:, 1]
+    below = np.flatnonzero(a <= 0.05)
+    tf, af = (t, a) if not below.size else (t[: below[0]], a[: below[0]])
+    crossing = np.flatnonzero(af < np.exp(-1.0))
+    tau0 = max(tf[crossing[0]] if crossing.size else tf[-1], dt)
+    (tau,), _ = curve_fit(
+        lambda tt, tau: np.exp(-tt / tau), tf, af, p0=[tau0], maxfev=2000, **tolerances
+    )
+    return tau, lambda tau: float(np.sum((np.exp(-tf / tau) - af) ** 2))
+
+
+# SciPy run to its finest tolerances: the default ones stop up to about 1e-8
+# relative short of the minimum
+TIGHT = {"ftol": 1e-14, "xtol": 1e-14, "gtol": 1e-14}
+
+
+class TestDwellFitMatchesCurveFit:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        tau_lags=st.floats(1.5, 200.0),
+        sigma=st.floats(1e-3, 0.03),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_noisy_decay(self, tau_lags, sigma, seed):
+        dt = 1e-5
+        k = np.arange(int(5 * tau_lags) + 3)
+        a = np.exp(-k / tau_lags) + np.random.default_rng(seed).normal(0.0, sigma, k.size)
+        a[0] = 1.0
+        acf = np.column_stack([k * dt, a])
+        est = fit_dwell_time(acf, dt, 0.5)
+        tau_default, sse = scipy_dwell_fit(acf, dt)
+        tau_tight, _ = scipy_dwell_fit(acf, dt, **TIGHT)
+        assert sse(est.tau_corr) <= sse(tau_default) * (1 + 1e-9)
+        assert est.tau_corr == pytest.approx(tau_tight, rel=1e-6)
+
+
+class TestNextFastLen:
+    def test_smallest_5_smooth_length(self):
+        def smooth(m):
+            for p in (2, 3, 5):
+                while m % p == 0:
+                    m //= p
+            return m == 1
+
+        lengths = [m for m in range(1, 5000) if smooth(m)]
+        for target in range(1, 4000):
+            assert _next_fast_len(target) == next(m for m in lengths if m >= target)
+
+    @pytest.mark.parametrize("target", [65537, 800_401, 5_002_001, 2**31 + 1])
+    def test_matches_scipy_real_length(self, target):
+        assert _next_fast_len(target) == scipy.fft.next_fast_len(target, real=True)
 
 
 class TestMeanDwellDirect:

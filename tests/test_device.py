@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import curve_fit
+from scipy.special import expit
 
 from pbitsim.device import (
     InverterParams,
@@ -234,6 +236,68 @@ class TestTransferCurve:
         raised = PbitParams(smtj=smtj30, nmos=base.nmos)  # calibration kept fixed
         hi = transfer_curve(raised, grid, 500, 0.1, smtj30.b_5050, seed=7)
         assert mixed_region_span(hi, 1.2) > mixed_region_span(lo, 1.2)
+
+
+def scipy_sigmoid_fit(v, y, v_dd, **tolerances):
+    """The fit fit_sigmoid made with scipy.optimize.curve_fit, and its SSE."""
+    span = max(v.max() - v.min(), 1e-9)
+    c0 = v[int(np.argmin(np.abs(y - v_dd / 2)))]
+    (c, w), _ = curve_fit(
+        lambda vv, c, w: v_dd * expit((vv - c) / w),
+        v,
+        y,
+        p0=[c0, span / 20],
+        bounds=([v.min() - span, 1e-6 * span], [v.max() + span, 10 * span]),
+        maxfev=5000,
+        **tolerances,
+    )
+    return (c, w), lambda c, w: float(np.sum((v_dd * expit((v - c) / w) - y) ** 2))
+
+
+# SciPy run to its finest tolerances: the default ones stop up to about 1e-5
+# relative short of the minimum on a staircase
+TIGHT = {"ftol": 1e-14, "xtol": 1e-14, "gtol": 1e-14}
+
+
+class TestSigmoidFitMatchesCurveFit:
+    @staticmethod
+    def assert_matches(v, y, v_dd=1.2):
+        center, width = fit_sigmoid(v, y, v_dd)
+        (c_default, w_default), sse = scipy_sigmoid_fit(v, y, v_dd)
+        (c_tight, w_tight), _ = scipy_sigmoid_fit(v, y, v_dd, **TIGHT)
+        assert sse(center, width) <= sse(c_default, w_default) * (1 + 1e-9)
+        assert center == pytest.approx(c_tight, rel=1e-6)
+        assert width == pytest.approx(w_tight, rel=1e-6)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(8, 121),
+        center=st.floats(0.56, 0.64),
+        width_steps=st.floats(2.0, 40.0),
+        sigma=st.floats(1e-3, 0.05),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_noisy_logistic(self, n, center, width_steps, sigma, seed):
+        v = np.linspace(0.5, 0.7, n)
+        width = width_steps * (v[1] - v[0])
+        noise = np.random.default_rng(seed).normal(0.0, sigma, n)
+        self.assert_matches(v, 1.2 * expit((v - center) / width) + noise)
+
+    # an ideal comparator: both states low, a mixed plateau near v_dd / 2, both high
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(16, 121),
+        center=st.floats(0.57, 0.63),
+        half_steps=st.floats(1.5, 4.0),
+        sigma=st.floats(0.0, 0.03),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_comparator_staircase(self, n, center, half_steps, sigma, seed):
+        v = np.linspace(0.5, 0.7, n)
+        half = half_steps * (v[1] - v[0])
+        plateau = 0.6 + np.random.default_rng(seed).normal(0.0, sigma, n)
+        low, high = v < center - half, v > center + half
+        self.assert_matches(v, np.where(low, 0.0, np.where(high, 1.2, plateau)))
 
 
 class TestSerialization:
