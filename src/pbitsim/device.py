@@ -23,7 +23,7 @@ from .smtj import (
     SmtjParams,
     _expit,
     _map_points,
-    _seed_entropy,
+    _point_seed,
     r_antiparallel,
     states_at,
     switching_times,
@@ -223,24 +223,22 @@ def transfer_curve(
 ) -> TransferCurve:
     """Sample the output at every grid input and average per point.
 
-    Point i runs on its own stream seeded by SeedSequence((seed, i)), so
+    Point i runs on its own stream, SeedSequence((seed, i)) for an int seed
+    and the seed's i-th child for a SeedSequence (smtj._point_seed), so
     extending the grid never perturbs existing points and jobs > 1 worker
     processes give the same curve.
     """
     grid = [float(v) for v in v_in_grid]
     if not grid:
         raise ValueError("v_in_grid must not be empty")
-    point = functools.partial(
-        _transfer_point, p, n_per_point, sample_interval, b, _seed_entropy(seed)
-    )
+    point = functools.partial(_transfer_point, p, n_per_point, sample_interval, b, seed)
     return TransferCurve(points=tuple(_map_points(point, grid, jobs)))
 
 
 def _transfer_point(
-    p: PbitParams, n: int, sample_interval: float, b: float, entropy: int, i: int, v: float
+    p: PbitParams, n: int, sample_interval: float, b: float, seed, i: int, v: float
 ) -> TransferPoint:
-    child = np.random.SeedSequence((entropy, i))
-    samples = sample_output(p, v, n, sample_interval, b, child)
+    samples = sample_output(p, v, n, sample_interval, b, _point_seed(seed, i))
     return TransferPoint(v_in=v, samples=samples, mean_v_out=float(samples.mean()))
 
 

@@ -473,14 +473,14 @@ def simulate_field_sweep(
     others, and jobs > 1 worker processes give the same points.  Returns a
     list of (b, mean resistance) pairs.
     """
-    point = functools.partial(_sweep_point, p, duration, dt, _seed_entropy(seed))
+    point = functools.partial(_sweep_point, p, duration, dt, seed)
     return _map_points(point, [float(b) for b in b_values], jobs)
 
 
 def _sweep_point(
-    p: SmtjParams, duration: float, dt: float, entropy: int, i: int, b: float
+    p: SmtjParams, duration: float, dt: float, seed, i: int, b: float
 ) -> tuple[float, float]:
-    trace = sample_trajectory(p, b, duration, dt, np.random.SeedSequence((entropy, i)))
+    trace = sample_trajectory(p, b, duration, dt, _point_seed(seed, i))
     return b, float(trace.values.mean())
 
 
@@ -499,9 +499,16 @@ def _map_points(point, items: list, jobs: int) -> list:
         return list(pool.map(point, range(len(items)), items))
 
 
-def _seed_entropy(seed) -> int:
-    """Integer entropy for SeedSequence spawning from an int or SeedSequence."""
+def _point_seed(seed, i: int) -> np.random.SeedSequence:
+    """Seed of point i of a sweep started from an int or a SeedSequence.
+
+    An int seed gives SeedSequence((seed, i)).  A SeedSequence gives its own
+    i-th child: its whole entropy, with i appended to its spawn_key, so
+    spawned siblings and sequences that differ in any entropy word seed
+    different points.
+    """
     if isinstance(seed, np.random.SeedSequence):
-        state = seed.entropy
-        return state if isinstance(state, int) else int(state[0])
-    return int(seed)
+        return np.random.SeedSequence(
+            seed.entropy, spawn_key=(*seed.spawn_key, i), pool_size=seed.pool_size
+        )
+    return np.random.SeedSequence((int(seed), i))

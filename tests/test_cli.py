@@ -42,7 +42,8 @@ def dir_bytes(path):
 # occupancy or the soft inverter), recorded while SciPy's expit computed it.
 # The fitted fields (center_V, width_V; dwell_acf_s, tau_corr_s,
 # acf_fit_rmse) were re-recorded when the numpy least-squares solver replaced
-# scipy.optimize.curve_fit.
+# scipy.optimize.curve_fit, and gate-empirical when a SeedSequence seed's
+# points became its spawned children (smtj._point_seed).
 PINNED_OUTPUTS = {
     "field-sweep": (
         ["field-sweep", "--seed", 1],
@@ -61,8 +62,8 @@ PINNED_OUTPUTS = {
     "gate-empirical": (
         ["gate", "--activation", "empirical", "--clamp-c", 1, "--seed", 1, "--sweeps", 20_000],
         {
-            "and_c1_histogram.csv": "e21adb510e5641c54c1f8c0a929e84a8c0242aaed27c4a2dbe1611d7728e7ec3",
-            "and_c1_summary.json": "9906b4a690070c621281d161b5126c543f48e59d8ba9faca9a177cb661ea8294",
+            "and_c1_histogram.csv": "09bc4f83c3b69121bdfa6f8fbe427ee11c824b169f153717781257477d38baf8",
+            "and_c1_summary.json": "ade70a00ab9b16ba6960beabc62f849eda42092b21672e8136d6b62b6cbab6e0",
         },
     ),
     "trace-off-centre": (

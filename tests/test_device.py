@@ -228,6 +228,32 @@ class TestTransferCurve:
         for a, b in zip(short.points, longer.points):
             assert np.array_equal(a.samples, b.samples)
 
+    def test_int_seed_keeps_its_point_streams(self):
+        p = calibrated_pbit()
+        grid = [0.59, 0.60, 0.61]
+        curve = transfer_curve(p, grid, 100, 0.1, p.smtj.b_5050, seed=8)
+        for i, (v, point) in enumerate(zip(grid, curve.points)):
+            own = sample_output(p, v, 100, 0.1, p.smtj.b_5050, np.random.SeedSequence((8, i)))
+            assert np.array_equal(point.samples, own)
+
+    @pytest.mark.parametrize(
+        "seeds",
+        [
+            np.random.SeedSequence(5).spawn(2),
+            [np.random.SeedSequence((3, 999331)), 3],
+            [np.random.SeedSequence((3, 999331)), np.random.SeedSequence((3, 999332))],
+        ],
+        ids=["spawned-siblings", "tagged-vs-int", "tags"],
+    )
+    def test_distinct_seeds_give_distinct_curves(self, seeds):
+        p = calibrated_pbit()
+        a, b = (
+            transfer_curve(p, [0.59, 0.60, 0.61], 100, 0.1, p.smtj.b_5050, seed=s)
+            for s in seeds
+        )
+        for x, y in zip(a.points, b.points):
+            assert not np.array_equal(x.samples, y.samples)
+
     def test_plateau_widens_with_higher_tmr(self):
         base = calibrated_pbit()
         grid = [round(0.55 + 0.001 * k, 5) for k in range(81)]

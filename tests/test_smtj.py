@@ -195,6 +195,14 @@ class TestFieldSweepJobs:
         serial = simulate_field_sweep(FAST, grid, 0.01, 2e-6, seed)
         assert simulate_field_sweep(FAST, grid, 0.01, 2e-6, seed, jobs=2) == serial
 
+    def test_spawned_siblings_sweep_independently(self):
+        grid = FAST.b_5050 + 0.05e-3 * np.arange(-1, 2)
+        a, b = (
+            simulate_field_sweep(FAST, grid, 0.01, 2e-6, child)
+            for child in np.random.SeedSequence(21).spawn(2)
+        )
+        assert all(ra != rb for (_, ra), (_, rb) in zip(a, b))
+
     def test_jobs_below_one_rejected(self):
         with pytest.raises(ValueError, match="jobs"):
             simulate_field_sweep(FAST, [FAST.b_5050], 0.01, 2e-6, seed=1, jobs=0)
