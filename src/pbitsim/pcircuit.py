@@ -302,17 +302,25 @@ def _gibbs_maps(c: PCircuit, act, n_sweeps: int, burn_in: int, seed) -> StateHis
     identity = np.arange(size, dtype=np.uint8)
     counts = np.zeros(size, dtype=np.int64)
     step = max(1, _MAP_CELLS // size)  # sweeps whose maps are built at once
+    # the gather and its index, allocated once: at 2**15 cells they sit at
+    # glibc's mmap threshold, and a fresh pair per chunk maps fresh pages
+    index_buf = np.empty((step, size), dtype=np.intp)
+    gathered_buf = np.empty((step, size))
     for done, perms, draws in _sweep_blocks(rng, len(free), burn_in + n_sweeps):
         block = len(draws)
         states = bytearray(block)
         for first in range(0, block, step):
             sweeps = slice(first, first + step)
+            rows = len(draws[sweeps])
+            index, gathered = index_buf[:rows], gathered_buf[:rows]
             # maps[s, w]: the word that sweep s leaves behind when it starts at w
-            maps = np.broadcast_to(identity, (len(draws[sweeps]), size))
+            maps = np.broadcast_to(identity, (rows, size))
             for slot in range(len(free)):
                 node = free_nodes[perms[sweeps, slot, None]]
                 bit = (1 << (n - 1 - node)).astype(np.uint8)
-                high = draws[sweeps, slot, None] < prob[node * size + maps]
+                np.add(node * size, maps, out=index)
+                np.take(prob, index, out=gathered)
+                high = draws[sweeps, slot, None] < gathered
                 maps = (maps & ~bit) | (bit * high)
             flat = maps.tobytes()
             for s, row in enumerate(range(0, len(flat), size), first):
