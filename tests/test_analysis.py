@@ -209,7 +209,7 @@ def scipy_dwell_fit(acf, dt, **tolerances):
     return tau, lambda tau: float(np.sum((np.exp(-tf / tau) - af) ** 2))
 
 
-# SciPy run to its finest tolerances: the default ones stop up to about 1e-8
+# SciPy run to tight tolerances: its default ones stop up to about 1e-8
 # relative short of the minimum
 TIGHT = {"ftol": 1e-14, "xtol": 1e-14, "gtol": 1e-14}
 

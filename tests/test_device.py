@@ -280,7 +280,7 @@ def scipy_sigmoid_fit(v, y, v_dd, **tolerances):
     return (c, w), lambda c, w: float(np.sum((v_dd * expit((v - c) / w) - y) ** 2))
 
 
-# SciPy run to its finest tolerances: the default ones stop up to about 1e-5
+# SciPy run to tight tolerances: its default ones stop up to about 1e-5
 # relative short of the minimum on a staircase
 TIGHT = {"ftol": 1e-14, "xtol": 1e-14, "gtol": 1e-14}
 
