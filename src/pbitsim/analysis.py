@@ -492,6 +492,22 @@ def bias_sidecar(path) -> Path:
     return path.with_suffix(path.suffix + ".json")
 
 
+def _sidecar_bias_current(sidecar: Path) -> float:
+    """bias_current_A of a sidecar; TraceFormatError naming it when it holds none."""
+    try:
+        with open(sidecar) as sf:
+            obj = json.load(sf)
+    except (OSError, ValueError) as exc:
+        raise TraceFormatError(f"cannot read bias sidecar {sidecar.name}: {exc}") from exc
+    bias = obj.get("bias_current_A") if isinstance(obj, dict) else None
+    if isinstance(bias, bool) or not isinstance(bias, (int, float)):
+        raise TraceFormatError(
+            f"bias sidecar {sidecar.name} must be a JSON object with a numeric "
+            f"bias_current_A, got {json.dumps(obj)[:80]}"
+        )
+    return float(bias)
+
+
 def load_trace(
     path, bias_current: float | None = None, offset_ohm: float = 0.0
 ) -> TelegraphTrace:
@@ -505,8 +521,8 @@ def load_trace(
 
     Raises ValueError (TraceFormatError for the file's contents) on an
     unrecognized header, a malformed row, fewer than two samples, a time
-    column that is not a uniform grid, a non-finite sample or a bias current
-    that is not positive.
+    column that is not a uniform grid, a non-finite sample, a sidecar without
+    a numeric bias_current_A or a bias current that is not positive.
     """
     path = Path(path)
     with open(path) as f:
@@ -520,8 +536,7 @@ def load_trace(
                 raise ValueError(
                     f"voltage trace needs a bias current: pass one or add {sidecar.name}"
                 )
-            with open(sidecar) as sf:
-                bias_current = float(json.load(sf)["bias_current_A"])
+            bias_current = _sidecar_bias_current(sidecar)
         if not bias_current > 0:
             raise ValueError(f"bias current must be > 0 A, got {bias_current:g}")
         dt, volts, labels = _read_rows(path, index + 1, labeled=False)

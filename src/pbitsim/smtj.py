@@ -13,10 +13,12 @@ they are safe to call concurrently.
 
 from __future__ import annotations
 
+import collections
 import concurrent.futures
 import enum
 import functools
 import math
+import os
 import warnings
 from dataclasses import dataclass
 
@@ -35,7 +37,7 @@ class TraceFormatError(ValueError):
     """Raised when a trace CSV does not hold a well-formed uniform series."""
 
 
-# Rows formatted per write in TelegraphTrace.to_csv.
+# Rows TelegraphTrace.to_csv renders per round of its thread pool.
 _CSV_ROWS = 1 << 16
 
 # Largest deviation of a time step from the first one, relative to it, that
@@ -142,33 +144,50 @@ class TelegraphTrace:
         """Write `time_s,resistance_ohm,state` rows (state column only when labeled).
 
         Row k holds `k * sample_interval` and the sample, both `%.12g`.  Rows
-        are rendered _CSV_ROWS at a time into a byte matrix (see _render_g12),
-        so memory stays bounded.
+        are rendered in slices of ceil(_CSV_ROWS / cpus) on a pool of one
+        thread per CPU this process may use (the numpy kernels release the
+        GIL); at most one slice per thread is in flight and slices are written
+        in order, so the bytes do not depend on the CPU count and memory stays
+        bounded.
         """
+        file.write("time_s,resistance_ohm,state\n" if self.labels is not None
+                   else "time_s,resistance_ohm\n")
+        n = self.values.size
+        cpus = _usable_cpus()
+        step = -(-_CSV_ROWS // cpus)
+        starts = range(0, n, step)
+        workers = min(cpus, len(starts))
+        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
+            pending = collections.deque()
+            for start in starts:
+                pending.append(pool.submit(self._csv_rows, start, min(start + step, n)))
+                if len(pending) == workers:
+                    file.write(pending.popleft().result())
+            while pending:
+                file.write(pending.popleft().result())
+
+    def _csv_rows(self, start: int, stop: int) -> str:
+        """The CSV text of rows start .. stop - 1, rendered into a byte matrix."""
         labeled = self.labels is not None
-        file.write("time_s,resistance_ohm,state\n" if labeled else "time_s,resistance_ohm\n")
         # row layout: time cell, ',', sample cell, [',', state cell,] '\n'
         sample_at = _G12_WIDTH + 1
         width = 2 * sample_at + (3 if labeled else 0)
-        n = self.values.size
-        for start in range(0, n, _CSV_ROWS):
-            stop = min(start + _CSV_ROWS, n)
-            rows = np.zeros((stop - start, width), dtype=np.uint8)
-            rows[:, sample_at - 1] = ord(",")
-            rows[:, -1] = ord("\n")
-            if labeled:
-                rows[:, -4] = ord(",")
-                anti = self.labels[start:stop] != 0
-                rows[:, -3] = np.where(anti, ord("A"), ord("P"))
-                rows[:, -2] = np.where(anti, ord("P"), 0)
-            # int64 * float64 rounds exactly as the scalar k * dt
-            times = np.arange(start, stop) * self.sample_interval
-            left = [
-                (at, x, _render_g12(x, rows[:, at : at + _G12_WIDTH]))
-                for at, x in ((0, times), (sample_at, self.values[start:stop]))
-            ]
-            _render_g12_slow(rows, left)
-            file.write(rows[rows != 0].tobytes().decode("ascii"))
+        rows = np.zeros((stop - start, width), dtype=np.uint8)
+        rows[:, sample_at - 1] = ord(",")
+        rows[:, -1] = ord("\n")
+        if labeled:
+            rows[:, -4] = ord(",")
+            anti = self.labels[start:stop] != 0
+            rows[:, -3] = np.where(anti, ord("A"), ord("P"))
+            rows[:, -2] = np.where(anti, ord("P"), 0)
+        # int64 * float64 rounds exactly as the scalar k * dt
+        times = np.arange(start, stop) * self.sample_interval
+        left = [
+            (at, x, _render_g12(x, rows[:, at : at + _G12_WIDTH]))
+            for at, x in ((0, times), (sample_at, self.values[start:stop]))
+        ]
+        _render_g12_slow(rows, left)
+        return rows[rows != 0].tobytes().decode("ascii")
 
     @classmethod
     def from_csv(cls, file) -> "TelegraphTrace":
@@ -181,6 +200,14 @@ class TelegraphTrace:
             raise TraceFormatError(f"unexpected trace header: {','.join(cols)!r}")
         dt, values, labels = _read_rows(file, 0, labeled=len(cols) > 2)
         return cls(sample_interval=dt, values=values, labels=labels)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 # Widest %.12g cell: sign, 12 digits and a point, 'e', exponent sign, 3 digits.

@@ -234,6 +234,18 @@ class TestSmtjTrace:
         assert read_json(out / "analysis.json")["r_low_ohm"] == pytest.approx(55200.0, rel=1e-6)
 
     @pytest.mark.parametrize(
+        "sidecar", ["{}", '{"bias_current_A": null}', "[1]"], ids=["no_key", "null", "list"]
+    )
+    def test_malformed_sidecar_exits_3(self, tmp_path, capsys, scope_20ua, sidecar):
+        (tmp_path / "scope.csv.json").write_text(sidecar)
+        code = run("smtj-trace", "--out-dir", tmp_path / "out", "--input-trace", scope_20ua)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "TraceFormatError" in err
+        assert "scope.csv.json" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
         "rows",
         [
             # a header line repeated mid-file

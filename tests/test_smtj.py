@@ -4,6 +4,7 @@ import json
 import math
 import os
 import struct
+import threading
 import tracemalloc
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 from scipy import special, stats
 
+from pbitsim import smtj
 from pbitsim.smtj import (
     _CSV_ROWS,
     MtjState,
@@ -330,6 +332,59 @@ class TestTraceCsvMatchesPerRowWriter:
         self.assert_matches(TelegraphTrace(dt, values, anti if labeled else None))
 
 
+class TestTraceCsvThreads:
+    """to_csv on 3 and 4 threads, whatever the CPU count, with tiny blocks."""
+
+    BLOCK = 10  # _CSV_ROWS here, so slices of 4 rows at 3 CPUs and 3 at 4
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(smtj, "_CSV_ROWS", self.BLOCK)
+
+    @staticmethod
+    def trace(n, labeled):
+        # read noise, with cells for the batched %.12g fallback in every slice
+        rng = np.random.default_rng(n)
+        anti = rng.random(n) < 0.5
+        values = np.where(anti, 35880.0, 27600.0) + rng.normal(0.0, 150.0, n)
+        values[::5] = np.resize([0.0, -np.inf, 1e20, np.nan, -2.5e-7], values[::5].size)
+        return TelegraphTrace(1e-5, values, anti if labeled else None)
+
+    @pytest.mark.parametrize("labeled", [False, True])
+    @pytest.mark.parametrize("cpus", [3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 8, 9, 10, 11, 19, 20, 21, 41, 97])
+    def test_matches_per_row_writer(self, monkeypatch, cpus, n, labeled):
+        # 1 row, fewer rows than threads, and lengths around slice and block
+        # boundaries
+        monkeypatch.setattr(smtj, "_usable_cpus", lambda: cpus)
+        trace = self.trace(n, labeled)
+        buf = io.StringIO()
+        trace.to_csv(buf)
+        assert buf.getvalue() == reference_csv(trace)
+
+    def test_render_error_reraised_and_threads_joined(self, monkeypatch):
+        monkeypatch.setattr(smtj, "_usable_cpus", lambda: 4)
+        render = smtj._render_g12_slow
+        error = RuntimeError("third slice")
+        calls = []
+        lock = threading.Lock()
+
+        def failing(rows, left):
+            with lock:
+                calls.append(None)
+                third = len(calls) == 3
+            if third:
+                raise error
+            render(rows, left)
+
+        monkeypatch.setattr(smtj, "_render_g12_slow", failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError) as caught:
+            self.trace(97, labeled=True).to_csv(io.StringIO())
+        assert caught.value is error
+        assert threading.active_count() == before
+
+
 class TestTraceCsv:
     def test_roundtrip_with_labels(self):
         tr = sample_trajectory(FAST, FAST.b_5050, 0.01, 5e-6, seed=4)
@@ -379,20 +434,24 @@ class TestTraceCsv:
         text = self.csv_text(noisy)
         assert hashlib.sha256(text.encode()).hexdigest() == self.PINNED["noisy"]
 
-    def test_writer_memory_is_bounded(self):
-        # rows are formatted a chunk at a time; a writer that converts the
-        # whole trace to Python objects at once peaks near 40 MB here
+    def test_writer_memory_is_bounded(self, monkeypatch):
+        # rows are formatted a slice at a time, one slice per thread in
+        # flight, at the usable CPU count and at 4; a writer that converts
+        # the whole trace to Python objects at once peaks near 40 MB here
         n = 4 * _CSV_ROWS
         labels = (np.arange(n) // 7 % 2).astype(np.uint8)
         trace = TelegraphTrace(1e-5, np.where(labels, 35880.0, 27600.0), labels)
-        with open(os.devnull, "w") as sink:
-            tracemalloc.start()
-            try:
-                trace.to_csv(sink)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-        assert peak < 16 * 2**20
+        peaks = {}
+        for cpus in (smtj._usable_cpus(), 4):
+            monkeypatch.setattr(smtj, "_usable_cpus", lambda: cpus)
+            with open(os.devnull, "w") as sink:
+                tracemalloc.start()
+                try:
+                    trace.to_csv(sink)
+                    peaks[cpus] = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+        assert all(peak < 16 * 2**20 for peak in peaks.values()), peaks
 
     def test_unlabeled_omits_state_column(self):
         tr = TelegraphTrace(sample_interval=1e-3, values=np.array([1.0, 2.0, 3.0]))
