@@ -11,14 +11,20 @@ class of a graph colouring at a time, is still exact Gibbs sampling (Aadit
 et al., Nat. Electron. 5, 460, 2022); updating coupled nodes simultaneously
 is not, so only sequential sweeps are offered.
 
-For circuits of at most 7 nodes gibbs_run never evaluates the activation
-inside the chain.  It tabulates the update probability of every node in
-every word once, turns each sweep's random permutation and uniform draws
-into a map word -> word over all 2**n words, and walks those maps from the
-current word.  That is the same chain with the same draws as updating node
-by node, which larger circuits still do: building a map costs work in
-proportion to 2**n, and at 8 nodes the maps measured slower than the loop
-with the ideal tanh.
+For circuits with at most 7 free nodes gibbs_run never evaluates the
+activation inside the chain.  Clamped bits never change, so words are
+indexed by the nf free nodes alone, and the clamped bits are added back
+when the histogram is written.  It tabulates the update probability of
+every free node in every free word once, turns each sweep's random
+permutation and uniform draws into a map free word -> free word over all
+2**nf words, and finds the word after every sweep by composing those maps:
+maps are built word-major, one row per word along a few thousand sweeps, so
+each numpy operation runs along the sweeps, and the walk composes sweeps
+pairwise in integer gathers instead of stepping through them in Python.
+That is the same chain with the same draws as updating node by node, which
+circuits with more free nodes still do: building a map costs work in
+proportion to 2**nf, and at 8 free nodes the maps measured slower than the
+loop with the ideal tanh.
 
 Histogram words follow the convention bit = (m + 1) / 2 with node 0 (A) as
 the most significant bit.
@@ -37,11 +43,13 @@ from .device import TransferCurve, fit_sigmoid
 ENUMERATION_LIMIT = 20  # exact oracle enumerates at most 2**20 states
 
 _SWEEP_BLOCK = 16384  # fixed block size keeps the draw sequence reproducible
-# Largest circuit that gibbs_run samples by per-sweep maps.  On a 2-vCPU
-# x86 host, random 7-node circuits with 6 free nodes ran 1.25-2.5x faster by
-# maps than node by node; at 8 nodes the ideal tanh ran 0.8-0.95x.
+# Most free nodes that gibbs_run samples by per-sweep maps.  On a 2-vCPU x86
+# host (random circuits, 20k sweeps, medians of 5), the node loop took
+# 1.4-2.4x the maps' time with 7 free nodes, and 0.80-0.95x with 8 free
+# nodes and the ideal tanh.
 _MAP_NODES = 7
-_MAP_CELLS = 1 << 15  # map entries built at a time, bounding the temporaries
+# Map entries (words x sweeps) built at a time, bounding the temporaries.
+_MAP_CELLS = 1 << 15
 
 
 class PCircuitError(Exception):
@@ -245,7 +253,7 @@ def gibbs_run(
         raise ValueError("burn_in must be >= 0")
     if not c.free_nodes:
         raise AllClamped("no free node to update")
-    run = _gibbs_maps if c.n <= _MAP_NODES else _gibbs_loop
+    run = _gibbs_maps if len(c.free_nodes) <= _MAP_NODES else _gibbs_loop
     return run(c, act, n_sweeps, burn_in, seed)
 
 
@@ -262,12 +270,14 @@ def _sweep_blocks(rng, nf: int, total: int):
     """Yield (first sweep, update orders, uniform draws) per block of sweeps.
 
     Both sampling paths draw through here, so they consume the same stream.
+    The permutation keys, then the draws, fill one buffer allocated once per
+    run, so a block's draws are overwritten by the next block's keys.
     """
+    buf = np.empty((min(_SWEEP_BLOCK, total), nf))
     for done in range(0, total, _SWEEP_BLOCK):
         block = min(_SWEEP_BLOCK, total - done)
-        perms = rng.random((block, nf)).argsort(axis=1)
-        draws = rng.random((block, nf))
-        yield done, perms, draws
+        perms = rng.random(out=buf[:block]).argsort(axis=1)
+        yield done, perms, rng.random(out=buf[:block])
 
 
 def _local_fields(c: PCircuit):
@@ -282,56 +292,89 @@ def _local_fields(c: PCircuit):
 
 
 def _gibbs_maps(c: PCircuit, act, n_sweeps: int, burn_in: int, seed) -> StateHistogram:
-    """gibbs_run by per-sweep word maps; words are bytes, so n <= 8."""
+    """gibbs_run by per-sweep maps over free-node words; bytes, so nf <= 8."""
     n, free = c.n, c.free_nodes
-    size = 1 << n
+    nf = len(free)
+    size = 1 << nf
     rng, word = _start(c, seed)
+    # Free node k is bit nf - 1 - k of a free word, so free words and the
+    # full words they stand for (clamped bits added) sort alike.
+    places = [1 << (n - 1 - node) for node in free]
+    clamped = word & ~sum(places)
+    full = [
+        clamped + sum(p for k, p in enumerate(places) if w >> (nf - 1 - k) & 1)
+        for w in range(size)
+    ]
+    word = full.index(word)
     bias, rows = _local_fields(c)
-    prob = np.zeros((n, size))
+    prob = np.empty((nf, size))
     for w in range(size):
-        m = [1 if w >> (n - 1 - j) & 1 else -1 for j in range(n)]
-        for node in free:
+        m = [1 if full[w] >> (n - 1 - j) & 1 else -1 for j in range(n)]
+        for k, node in enumerate(free):
             # the loop's own left-to-right sum, so both paths compare the
             # same draws against bit-identical probabilities
             acc = bias[node]
             for j, wt in rows[node]:
                 acc += wt * m[j]
-            prob[node, w] = act.prob_high(acc)
-    prob = prob.ravel()  # prob[node * size + word]
-    free_nodes = np.array(free)
-    identity = np.arange(size, dtype=np.uint8)
+            prob[k, w] = act.prob_high(acc)
+    prob = prob.ravel()  # prob[k * size + w]
+    bits = (1 << np.arange(nf - 1, -1, -1)).astype(np.uint8)
+    identity = np.arange(size, dtype=np.uint8)[:, None]
     counts = np.zeros(size, dtype=np.int64)
     step = max(1, _MAP_CELLS // size)  # sweeps whose maps are built at once
     # the gather and its index, allocated once: at 2**15 cells they sit at
     # glibc's mmap threshold, and a fresh pair per chunk maps fresh pages
-    index_buf = np.empty((step, size), dtype=np.intp)
-    gathered_buf = np.empty((step, size))
-    for done, perms, draws in _sweep_blocks(rng, len(free), burn_in + n_sweeps):
-        block = len(draws)
-        states = bytearray(block)
-        for first in range(0, block, step):
-            sweeps = slice(first, first + step)
-            rows = len(draws[sweeps])
-            index, gathered = index_buf[:rows], gathered_buf[:rows]
-            # maps[s, w]: the word that sweep s leaves behind when it starts at w
-            maps = np.broadcast_to(identity, (rows, size))
-            for slot in range(len(free)):
-                node = free_nodes[perms[sweeps, slot, None]]
-                bit = (1 << (n - 1 - node)).astype(np.uint8)
-                np.add(node * size, maps, out=index)
-                np.take(prob, index, out=gathered)
-                high = draws[sweeps, slot, None] < gathered
+    index_buf = np.empty(step * size, dtype=np.intp)
+    gathered_buf = np.empty(step * size)
+    for done, perms, draws in _sweep_blocks(rng, nf, burn_in + n_sweeps):
+        for first in range(0, len(draws), step):
+            chunk = slice(first, first + step)
+            sweeps = len(draws[chunk])
+            index = index_buf[: size * sweeps].reshape(size, sweeps)
+            gathered = gathered_buf[: size * sweeps].reshape(size, sweeps)
+            # maps[w, s]: the free word that sweep s leaves behind when it
+            # starts at w; word-major, so every operation runs along sweeps
+            maps = np.broadcast_to(identity, (size, sweeps))
+            for slot in range(nf):
+                k = perms[chunk, slot]
+                bit = bits[k]
+                np.add(k * size, maps, out=index)
+                np.take(prob, index, out=gathered, mode="clip")
+                high = draws[chunk, slot] < gathered
                 maps = (maps & ~bit) | (bit * high)
-            flat = maps.tobytes()
-            for s, row in enumerate(range(0, len(flat), size), first):
-                word = flat[row + word]
-                states[s] = word
-        visited = np.frombuffer(states, dtype=np.uint8)[max(burn_in - done, 0):]
-        counts += np.bincount(visited, minlength=size)
+            visited = _walk(maps, word)
+            word = int(visited[-1])
+            counts += np.bincount(visited[max(burn_in - done - first, 0):], minlength=size)
     width = f"0{n}b"
     return StateHistogram(
-        n=n, counts={format(w, width): int(k) for w, k in enumerate(counts) if k}
+        n=n, counts={format(full[w], width): int(k) for w, k in enumerate(counts) if k}
     )
+
+
+def _walk(maps: np.ndarray, word: int) -> np.ndarray:
+    """Words visited from word through the maps maps[:, 0], maps[:, 1], ...
+
+    Returns v with v[0] = maps[word, 0] and v[s] = maps[v[s - 1], s], by
+    composition rather than sweep by sweep: one flat take composes each pair
+    of sweeps (2k, 2k + 1), the walk over those pairs gives the words after
+    the odd sweeps, and one more take the words after the even ones.
+    """
+    size, sweeps = maps.shape
+    flat = maps.ravel()  # maps[w, s] at w * sweeps + s
+    if sweeps == 1:
+        return flat[word : word + 1]
+    pairs = sweeps // 2
+    index = np.multiply(maps[:, : 2 * pairs : 2], sweeps, dtype=np.intp)
+    index += np.arange(1, 2 * pairs, 2)
+    visited = np.empty(sweeps, dtype=maps.dtype)
+    visited[1::2] = _walk(flat.take(index, mode="clip"), word)
+    before = np.empty((sweeps + 1) // 2, dtype=np.intp)  # words entering even sweeps
+    before[0] = word
+    before[1:] = visited[1 : sweeps - 1 : 2]
+    before *= sweeps
+    before += np.arange(0, sweeps, 2)
+    visited[::2] = flat.take(before, mode="clip")
+    return visited
 
 
 def _gibbs_loop(c: PCircuit, act, n_sweeps: int, burn_in: int, seed) -> StateHistogram:

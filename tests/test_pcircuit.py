@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pbitsim import pcircuit
 from pbitsim.device import InverterParams, PbitParams, calibrate_match, transfer_curve
 from pbitsim.pcircuit import (
     AllClamped,
@@ -17,11 +18,13 @@ from pbitsim.pcircuit import (
     PCircuit,
     StateHistogram,
     TooLarge,
+    _MAP_CELLS,
     _MAP_NODES,
     _SWEEP_BLOCK,
     _gibbs_loop,
     _gibbs_maps,
     _isotonic,
+    _walk,
     and_gate,
     boltzmann_exact,
     clamp,
@@ -303,6 +306,13 @@ TABLE_ACTIVATION = EmpiricalActivation(
 )
 
 
+def random_circuit(n, clamps, seed):
+    """Circuit of n nodes with couplings and biases drawn from U(-0.5, 0.5)."""
+    rng = np.random.default_rng(seed)
+    upper = np.triu(rng.uniform(-0.5, 0.5, (n, n)), 1)
+    return PCircuit(j=upper + upper.T, h=rng.uniform(-0.5, 0.5, n), i0=1.0, clamps=clamps)
+
+
 @st.composite
 def small_circuits(draw):
     n = draw(st.integers(1, 8))
@@ -332,6 +342,11 @@ class TestSamplingPaths:
         c=clamp(or_gate(1.0), 2, 1), act=IdealTanh(),
         n_sweeps=2 * _SWEEP_BLOCK + 11, burn_in=_SWEEP_BLOCK + 3, seed=12,
     )
+    # eight nodes, one clamped: gibbs_run maps the seven free ones
+    @example(
+        c=random_circuit(8, clamps={5: -1}, seed=3), act=TABLE_ACTIVATION,
+        n_sweeps=2500, burn_in=17, seed=7,
+    )
     def test_map_walk_matches_node_updates(self, c, act, n_sweeps, burn_in, seed):
         maps = _gibbs_maps(c, act, n_sweeps, burn_in, seed)
         loop = _gibbs_loop(c, act, n_sweeps, burn_in, seed)
@@ -339,17 +354,44 @@ class TestSamplingPaths:
         assert maps.total == n_sweeps
 
     def test_large_circuit_updates_node_by_node(self):
-        # ten nodes: beyond the map walk, so gibbs_run takes the loop path
-        n = 10
-        rng = np.random.default_rng(40)
-        upper = np.triu(rng.uniform(-0.5, 0.5, (n, n)), 1)
-        c = PCircuit(
-            j=upper + upper.T, h=rng.uniform(-0.5, 0.5, n), i0=1.0,
-            clamps={0: 1, 3: -1, 5: 1, 6: 1, 8: -1, 9: -1},
-        )
-        assert c.n > _MAP_NODES
-        hist = gibbs_run(c, IdealTanh(), 100_000, burn_in=100, seed=41)
+        # eight free nodes: beyond the map walk, so gibbs_run takes the loop path
+        c = random_circuit(10, clamps={0: 1, 9: -1}, seed=40)
+        assert len(c.free_nodes) > _MAP_NODES
+        hist = gibbs_run(c, IdealTanh(), 400_000, burn_in=100, seed=41)
         assert compare_to_oracle(hist, boltzmann_exact(c)) < 0.02
+
+    def test_map_walk_counts_free_nodes(self, monkeypatch):
+        # ten nodes but four free: the maps run over the 16 free-node words
+        c = random_circuit(10, clamps={0: 1, 3: -1, 5: 1, 6: 1, 8: -1, 9: -1}, seed=40)
+        want = _gibbs_loop(c, IdealTanh(), 3000, 10, 41)
+
+        def no_loop(*args):
+            raise AssertionError("took the node loop")
+
+        monkeypatch.setattr(pcircuit, "_gibbs_loop", no_loop)
+        assert gibbs_run(c, IdealTanh(), 3000, 10, 41) == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        size=st.integers(2, 256),
+        sweeps=st.one_of(st.integers(1, 9), st.integers(1, 3 * _MAP_CELLS)),
+        seed=st.integers(0, 2**32 - 1),
+        start=st.integers(0, 255),
+    )
+    @example(size=2, sweeps=1, seed=0, start=1)
+    @example(size=4, sweeps=_MAP_CELLS // 4 + 1, seed=1, start=3)  # one build chunk and a sweep
+    @example(size=256, sweeps=2 * (_MAP_CELLS // 256) - 1, seed=2, start=255)
+    def test_walk_matches_sweep_by_sweep(self, size, sweeps, seed, start):
+        sweeps = min(sweeps, 3 * (_MAP_CELLS // size))  # beyond one build chunk
+        maps = np.random.default_rng(seed).integers(0, size, (size, sweeps), dtype=np.uint8)
+        word = start % size
+        visited = _walk(maps, word)
+        want = []
+        for s in range(sweeps):
+            word = int(maps[word, s])
+            want.append(word)
+        assert visited.dtype == np.uint8
+        assert visited.tolist() == want
 
     def test_map_walk_memory_is_bounded(self):
         # maps are built a few thousand sweeps at a time, not a whole block

@@ -88,12 +88,29 @@ class TestOccupancy:
         b1=st.floats(-10e-3, -4e-3),
         b2=st.floats(-10e-3, -4e-3),
     )
+    # both round to exactly 1.0: the logistic's argument is about 37 there
+    @example(b1=-0.009994912777945196, b2=-0.01)
+    @example(b1=SLOW.b_5050 - SLOW.window_width, b2=SLOW.b_5050 - SLOW.window_width + 1.01e-6)
+    @example(b1=SLOW.b_5050 + SLOW.window_width, b2=SLOW.b_5050 + SLOW.window_width - 1.01e-6)
     def test_monotone_decreasing(self, b1, b2):
         lo, hi = min(b1, b2), max(b1, b2)
         o_lo, o_hi = occupancy_ap(SLOW, lo), occupancy_ap(SLOW, hi)
         assert 0.0 <= o_hi <= o_lo <= 1.0
-        if hi - lo > 1e-6:
+        # Far outside the window the occupancy rounds to 0 or 1 and distinct
+        # fields share a value; within b_5050 +- window_width a 1e-6 T step
+        # moves it by about 1e-6, far above an ulp.
+        window = (SLOW.b_5050 - SLOW.window_width, SLOW.b_5050 + SLOW.window_width)
+        if window[0] <= lo and hi <= window[1] and hi - lo > 1e-6:
             assert o_hi < o_lo
+
+    @given(
+        b1=st.floats(SLOW.b_5050 - SLOW.window_width, SLOW.b_5050 + SLOW.window_width),
+        b2=st.floats(SLOW.b_5050 - SLOW.window_width, SLOW.b_5050 + SLOW.window_width),
+    )
+    def test_strictly_decreasing_in_window(self, b1, b2):
+        lo, hi = min(b1, b2), max(b1, b2)
+        if hi - lo > 1e-6:
+            assert occupancy_ap(SLOW, hi) < occupancy_ap(SLOW, lo)
 
 
 class TestExpit:
