@@ -323,7 +323,9 @@ def _gibbs_maps(c: PCircuit, act, n_sweeps: int, burn_in: int, seed) -> StateHis
     counts = np.zeros(size, dtype=np.int64)
     step = max(1, _MAP_CELLS // size)  # sweeps whose maps are built at once
     # the gather and its index, allocated once: at 2**15 cells they sit at
-    # glibc's mmap threshold, and a fresh pair per chunk maps fresh pages
+    # glibc's mmap threshold, and a fresh pair per chunk maps fresh pages.
+    # Every index is in range by construction; mode="clip" skips the bounds
+    # pass and the copy of out that the default mode makes.
     index_buf = np.empty(step * size, dtype=np.intp)
     gathered_buf = np.empty(step * size)
     for done, perms, draws in _sweep_blocks(rng, nf, burn_in + n_sweeps):

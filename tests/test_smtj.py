@@ -29,6 +29,7 @@ from pbitsim.smtj import (
 )
 
 SLOW = SmtjParams()  # 27.6 kOhm / 14.5% / 4.2 ms reference device
+WINDOW = (SLOW.b_5050 - SLOW.window_width, SLOW.b_5050 + SLOW.window_width)  # tesla
 FAST = SmtjParams(tmr=0.30, tau_mean=68.9e-6, window_width=0.2e-3)
 
 
@@ -84,14 +85,16 @@ class TestOccupancy:
         assert occupancy_ap(SLOW, -7.5e-3) >= 0.9
         assert occupancy_ap(SLOW, -6.9e-3) <= 0.1
 
+    # fields over the whole range, and often both within the window, where
+    # the strict check applies
     @given(
-        b1=st.floats(-10e-3, -4e-3),
-        b2=st.floats(-10e-3, -4e-3),
+        b1=st.one_of(st.floats(-10e-3, -4e-3), st.floats(*WINDOW)),
+        b2=st.one_of(st.floats(-10e-3, -4e-3), st.floats(*WINDOW)),
     )
     # both round to exactly 1.0: the logistic's argument is about 37 there
     @example(b1=-0.009994912777945196, b2=-0.01)
-    @example(b1=SLOW.b_5050 - SLOW.window_width, b2=SLOW.b_5050 - SLOW.window_width + 1.01e-6)
-    @example(b1=SLOW.b_5050 + SLOW.window_width, b2=SLOW.b_5050 + SLOW.window_width - 1.01e-6)
+    @example(b1=WINDOW[0], b2=WINDOW[0] + 1.01e-6)
+    @example(b1=WINDOW[1], b2=WINDOW[1] - 1.01e-6)
     def test_monotone_decreasing(self, b1, b2):
         lo, hi = min(b1, b2), max(b1, b2)
         o_lo, o_hi = occupancy_ap(SLOW, lo), occupancy_ap(SLOW, hi)
@@ -99,18 +102,8 @@ class TestOccupancy:
         # Far outside the window the occupancy rounds to 0 or 1 and distinct
         # fields share a value; within b_5050 +- window_width a 1e-6 T step
         # moves it by about 1e-6, far above an ulp.
-        window = (SLOW.b_5050 - SLOW.window_width, SLOW.b_5050 + SLOW.window_width)
-        if window[0] <= lo and hi <= window[1] and hi - lo > 1e-6:
+        if WINDOW[0] <= lo and hi <= WINDOW[1] and hi - lo > 1e-6:
             assert o_hi < o_lo
-
-    @given(
-        b1=st.floats(SLOW.b_5050 - SLOW.window_width, SLOW.b_5050 + SLOW.window_width),
-        b2=st.floats(SLOW.b_5050 - SLOW.window_width, SLOW.b_5050 + SLOW.window_width),
-    )
-    def test_strictly_decreasing_in_window(self, b1, b2):
-        lo, hi = min(b1, b2), max(b1, b2)
-        if hi - lo > 1e-6:
-            assert occupancy_ap(SLOW, hi) < occupancy_ap(SLOW, lo)
 
 
 class TestExpit:
