@@ -370,12 +370,10 @@ def _walk(maps: np.ndarray, word: int) -> np.ndarray:
     index += np.arange(1, 2 * pairs, 2)
     visited = np.empty(sweeps, dtype=maps.dtype)
     visited[1::2] = _walk(flat.take(index, mode="clip"), word)
-    before = np.empty((sweeps + 1) // 2, dtype=np.intp)  # words entering even sweeps
-    before[0] = word
-    before[1:] = visited[1 : sweeps - 1 : 2]
-    before *= sweeps
-    before += np.arange(0, sweeps, 2)
-    visited[::2] = flat.take(before, mode="clip")
+    visited[0] = flat[word * sweeps]
+    index = np.multiply(visited[1 : sweeps - 1 : 2], sweeps, dtype=np.intp)
+    index += np.arange(2, sweeps, 2)
+    visited[2::2] = flat.take(index, mode="clip")
     return visited
 
 
