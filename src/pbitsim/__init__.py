@@ -51,8 +51,6 @@ from .pcircuit import (
     compare_to_oracle,
     gibbs_run,
     or_gate,
-    pbit_update,
-    synapse,
 )
 from .smtj import (
     MtjState,

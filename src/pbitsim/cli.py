@@ -14,6 +14,7 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -55,7 +56,7 @@ from .pcircuit import (
     gibbs_run,
     or_gate,
 )
-from .smtj import SmtjParams, sample_trajectory, simulate_field_sweep
+from .smtj import SmtjParams, r_antiparallel, sample_trajectory, simulate_field_sweep
 from .svg import bar_svg, line_svg
 
 EXIT_OK = 0
@@ -75,10 +76,12 @@ class ConfigError(Exception):
 
 SMTJ_DEFAULTS = SmtjParams().to_json()
 
+# Keys every simulating command takes.
+_RUN_DEFAULTS = {"seed": 1, "out_dir": "pbitsim_out", "svg": False}
+
 TRACE_DEFAULTS = {
     **SMTJ_DEFAULTS,
-    "seed": 1,
-    "out_dir": "pbitsim_out",
+    **_RUN_DEFAULTS,
     "b_field_T": None,  # defaults to b_5050_T
     "duration_s": 50.0,  # reference acquisition length
     "dt_s": 1e-5,  # 100 kHz sampling
@@ -87,28 +90,24 @@ TRACE_DEFAULTS = {
     # config file nor the export's sidecar gives one
     "bias_current_A": 1e-5,
     "offset_ohm": 0.0,
-    "svg": False,
 }
 
 SWEEP_DEFAULTS = {
     **SMTJ_DEFAULTS,
-    "seed": 1,
-    "out_dir": "pbitsim_out",
+    **_RUN_DEFAULTS,
     "b_min_T": -8.0e-3,
     "b_max_T": -6.44e-3,
     "b_step_T": 7.5e-5,
     "point_duration_s": 2.0,
     "dt_s": 1e-5,
     "jobs": 1,
-    "svg": False,
 }
 
 TRANSFER_DEFAULTS = {
     **SMTJ_DEFAULTS,
-    "seed": 1,
-    "out_dir": "pbitsim_out",
-    "v_dd_V": 1.2,
-    "nmos_v_threshold_V": 0.4,
+    **_RUN_DEFAULTS,
+    "v_dd_V": PbitParams().v_dd,
+    "nmos_v_threshold_V": NmosParams().v_threshold,
     "nmos_k_factor_A_per_V2": None,  # None selects resistance-matched calibration
     "inverter_v_switch_V": None,  # defaults to v_dd / 2
     "inverter_gain": None,  # None selects the ideal comparator
@@ -120,12 +119,10 @@ TRANSFER_DEFAULTS = {
     "n_per_point": 500,
     "sample_interval_s": 0.1,
     "jobs": 1,
-    "svg": False,
 }
 
 GATE_DEFAULTS = {
-    "seed": 1,
-    "out_dir": "pbitsim_out",
+    **_RUN_DEFAULTS,
     "gate": "and",
     "clamp_c": None,
     "i0": 2.0,
@@ -133,7 +130,6 @@ GATE_DEFAULTS = {
     "burn_in": 1000,
     "all_modes": False,
     "activation": "ideal",
-    "svg": False,
 }
 
 METRICS_DEFAULTS = {
@@ -142,8 +138,12 @@ METRICS_DEFAULTS = {
 }
 
 
-def _resolve(defaults: dict, config_path, overrides: dict) -> tuple[dict, set]:
-    """Defaults < config file < flags, and the set of keys the file or a flag gave."""
+def _resolve(defaults: dict, config_path, overrides: dict, flag_types: dict) -> tuple[dict, set]:
+    """Defaults < config file < flags, and the set of keys the file or a flag gave.
+
+    Each value must be of the kind of its default or, where that is None,
+    null or what its flag parses to (flag_types).
+    """
     cfg = dict(defaults)
     given = set()
     if config_path is not None:
@@ -152,6 +152,8 @@ def _resolve(defaults: dict, config_path, overrides: dict) -> tuple[dict, set]:
                 file_cfg = json.load(f)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {config_path}: {exc}") from exc
+        if not isinstance(file_cfg, dict):
+            raise ConfigError(f"config {config_path} must hold a JSON object")
         unknown = set(file_cfg) - set(defaults)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -161,7 +163,30 @@ def _resolve(defaults: dict, config_path, overrides: dict) -> tuple[dict, set]:
         if value is not None:
             cfg[key] = value
             given.add(key)
+    for key, value in cfg.items():
+        kind = flag_types[key] if defaults[key] is None else type(defaults[key])
+        if not (value is None and defaults[key] is None or _is_kind(value, kind)):
+            raise ConfigError(f"{key} must be {_KIND_NAMES[kind]}, got {value!r}")
     return cfg, given
+
+
+def _float_list(text: str) -> list:
+    return [float(v) for v in text.split(",")]
+
+
+def _is_kind(value, kind) -> bool:
+    """Finite int or float for float, int for int; a bool is neither."""
+    if isinstance(value, bool) or kind is bool:
+        return type(value) is kind
+    if kind is float:
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    if kind is _float_list:
+        return isinstance(value, list) and all(_is_kind(v, float) for v in value)
+    return isinstance(value, kind)
+
+
+_KIND_NAMES = {float: "a finite number", int: "an integer", str: "a string",
+               bool: "true or false", _float_list: "a list of finite numbers"}
 
 
 _UNHASHED_KEYS = {"out_dir", "jobs"}  # execution details that cannot change results
@@ -183,11 +208,15 @@ def _out_dir(cfg: dict) -> Path:
     return out
 
 
-def _write_json(path: Path, meta: str, obj: dict) -> None:
+def _write(path: Path, meta: str, write) -> None:
+    """Write the metadata line, then the rest of the file with write(file)."""
     with open(path, "w", newline="") as f:
         f.write(meta + "\n")
-        json.dump(obj, f, sort_keys=True, indent=2)
-        f.write("\n")
+        write(f)
+
+
+def _write_json(path: Path, meta: str, obj: dict) -> None:
+    _write(path, meta, lambda f: f.write(json.dumps(obj, sort_keys=True, indent=2) + "\n"))
 
 
 def _require(cond: bool, message: str) -> None:
@@ -209,7 +238,7 @@ def cmd_smtj_trace(cfg: dict, given: set) -> None:
     smtj = _smtj_from_cfg(cfg)
     analyze_only = cfg["input_trace"] is not None
     if analyze_only:
-        _require(Path(cfg["input_trace"]).exists(), f"no such trace: {cfg['input_trace']}")
+        _require(Path(cfg["input_trace"]).is_file(), f"no such trace: {cfg['input_trace']}")
         _require(cfg["bias_current_A"] > 0, "bias_current_A must be > 0")
     else:
         _require(cfg["duration_s"] > 0, "duration_s must be > 0")
@@ -238,9 +267,7 @@ def cmd_smtj_trace(cfg: dict, given: set) -> None:
     acf = autocorrelation(labeled, max_lag)
     dwell = fit_dwell_time(acf, dt, occupancy)
 
-    with open(out / "trace.csv", "w", newline="") as f:
-        f.write(meta + "\n")
-        labeled.to_csv(f)
+    _write(out / "trace.csv", meta, labeled.to_csv)
     if cfg["svg"]:
         stride = max(1, len(labeled) // 4000)
         (out / "trace.svg").write_text(
@@ -290,16 +317,12 @@ def cmd_field_sweep(cfg: dict, given: set) -> None:
     points = simulate_field_sweep(
         smtj, grid, cfg["point_duration_s"], cfg["dt_s"], cfg["seed"], jobs=cfg["jobs"]
     )
-    r_p = smtj.r_parallel
-    r_ap = r_p * (1.0 + smtj.tmr)
+    r_p, r_ap = smtj.r_parallel, r_antiparallel(smtj)
     levels = LevelEstimate(r_low=r_p, r_high=r_ap, threshold=0.5 * (r_p + r_ap))
     window = extract_stochastic_window(FieldSweep(points), levels)
 
-    with open(out / "sweep.csv", "w", newline="") as f:
-        f.write(meta + "\n")
-        f.write("b_T,mean_resistance_ohm\n")
-        for b, r in points:
-            f.write(f"{b:.12g},{r:.12g}\n")
+    rows = "".join(f"{b:.12g},{r:.12g}\n" for b, r in points)
+    _write(out / "sweep.csv", meta, lambda f: f.write("b_T,mean_resistance_ohm\n" + rows))
     if cfg["svg"]:
         (out / "sweep.svg").write_text(
             line_svg(
@@ -329,24 +352,20 @@ def cmd_field_sweep(cfg: dict, given: set) -> None:
 
 def _pbit_from_cfg(cfg: dict) -> PbitParams:
     smtj = _smtj_from_cfg(cfg)
+    v_dd = cfg["v_dd_V"]
+    v_switch = cfg["inverter_v_switch_V"]
+    gain = cfg["inverter_gain"]
+    k_factor = cfg["nmos_k_factor_A_per_V2"]
     try:
-        v_dd = cfg["v_dd_V"]
-        v_switch = cfg["inverter_v_switch_V"]
-        gain = cfg["inverter_gain"]
-        inverter = InverterParams(
-            v_switch=v_dd / 2 if v_switch is None else v_switch,
-            gain=IDEAL_GAIN if gain is None else gain,
+        p = PbitParams(
+            smtj=smtj,
+            inverter=InverterParams(
+                v_dd / 2 if v_switch is None else v_switch, IDEAL_GAIN if gain is None else gain
+            ),
+            nmos=NmosParams(cfg["nmos_v_threshold_V"], 1.0 if k_factor is None else k_factor),
+            v_dd=v_dd,
         )
-        nmos = NmosParams(v_threshold=cfg["nmos_v_threshold_V"], k_factor=1.0)
-        p = PbitParams(smtj=smtj, nmos=nmos, inverter=inverter, v_dd=v_dd)
-        if cfg["nmos_k_factor_A_per_V2"] is None:
-            nmos = calibrate_match(p)
-        else:
-            nmos = NmosParams(
-                v_threshold=cfg["nmos_v_threshold_V"],
-                k_factor=cfg["nmos_k_factor_A_per_V2"],
-            )
-        return PbitParams(smtj=smtj, nmos=nmos, inverter=inverter, v_dd=v_dd)
+        return replace(p, nmos=calibrate_match(p)) if k_factor is None else p
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -387,12 +406,8 @@ def cmd_transfer(cfg: dict, given: set) -> None:
     else:
         center = width = None
 
-    with open(out / "samples.csv", "w", newline="") as f:
-        f.write(meta + "\n")
-        curve.to_samples_csv(f)
-    with open(out / "curve.csv", "w", newline="") as f:
-        f.write(meta + "\n")
-        curve.to_summary_csv(f)
+    _write(out / "samples.csv", meta, curve.to_samples_csv)
+    _write(out / "curve.csv", meta, curve.to_summary_csv)
     if cfg["svg"] and len(grid) >= 2:
         (out / "curve.svg").write_text(
             line_svg(
@@ -422,12 +437,9 @@ def _default_empirical_activation(seed: int) -> EmpiricalActivation:
     Uses the soft-inverter mode: a hard comparator would give a three-level
     table with exactly saturated tails that pins the sampler in one state.
     """
-    base = PbitParams()
-    p = PbitParams(
-        smtj=base.smtj,
-        nmos=calibrate_match(base),
-        inverter=InverterParams(v_switch=base.v_dd / 2, gain=60.0),
-        v_dd=base.v_dd,
+    p = PbitParams()
+    p = replace(
+        p, nmos=calibrate_match(p), inverter=InverterParams(v_switch=p.v_dd / 2, gain=60.0)
     )
     grid = [round(0.54 + 0.001 * k, 5) for k in range(121)]
     curve = transfer_curve(
@@ -459,21 +471,19 @@ def cmd_gate(cfg: dict, given: set) -> None:
     if cfg["activation"] == "ideal":
         act = IdealTanh()
     else:
-        act = _default_empirical_activation(int(cfg["seed"]))
+        act = _default_empirical_activation(cfg["seed"])
 
     for mode_index, (gate, clamp_c) in enumerate(modes):
         circuit = and_gate(cfg["i0"]) if gate == "and" else or_gate(cfg["i0"])
         if clamp_c is not None:
             circuit = clamp(circuit, GATE_OUTPUT_NODE, clamp_c)
-        run_seed = np.random.SeedSequence((int(cfg["seed"]), mode_index))
+        run_seed = np.random.SeedSequence((cfg["seed"], mode_index))
         hist = gibbs_run(circuit, act, cfg["sweeps"], cfg["burn_in"], run_seed)
         exact = boltzmann_exact(circuit)
         l1 = compare_to_oracle(hist, exact)
 
         prefix = f"{gate}_{'free' if clamp_c is None else f'c{clamp_c}'}"
-        with open(out / f"{prefix}_histogram.csv", "w", newline="") as f:
-            f.write(meta + "\n")
-            hist.to_csv(f)
+        _write(out / f"{prefix}_histogram.csv", meta, hist.to_csv)
         if cfg["svg"]:
             words = [format(i, f"0{hist.n}b") for i in range(2**hist.n)]
             freqs = hist.frequencies()
@@ -486,11 +496,8 @@ def cmd_gate(cfg: dict, given: set) -> None:
                     "frequency",
                 )
             )
-        with open(out / f"{prefix}_oracle.csv", "w", newline="") as f:
-            f.write(meta + "\n")
-            f.write("word,probability\n")
-            for word in sorted(exact):
-                f.write(f"{word},{exact[word]:.12g}\n")
+        rows = "".join(f"{word},{exact[word]:.12g}\n" for word in sorted(exact))
+        _write(out / f"{prefix}_oracle.csv", meta, lambda f: f.write("word,probability\n" + rows))
         _write_json(
             out / f"{prefix}_summary.json",
             meta,
@@ -512,9 +519,7 @@ def cmd_gate(cfg: dict, given: set) -> None:
 
 def cmd_metrics(cfg: dict, given: set) -> None:
     out = _out_dir(cfg)
-    with open(out / "perf_points.csv", "w", newline="") as f:
-        f.write(_meta(cfg) + "\n")
-        write_perf_csv(comparison_table(), f)
+    _write(out / "perf_points.csv", _meta(cfg), lambda f: write_perf_csv(comparison_table(), f))
 
 
 # -------------------------------------------------------------------- driver
@@ -580,7 +585,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument(
         "--v-inputs",
         dest="v_inputs_V",
-        type=lambda text: [float(v) for v in text.split(",")],
+        type=_float_list,
         help="comma-separated explicit input list, overrides start/stop/step",
     )
     s.add_argument("--n-per-point", dest="n_per_point", type=int)
@@ -614,6 +619,12 @@ _COMMANDS = {
 }
 
 
+def _flag_types(parser: argparse.ArgumentParser, command: str) -> dict:
+    """Config key -> what the command's flag for it parses to (str when untyped)."""
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return {a.dest: a.type or str for a in commands.choices[command]._actions}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = vars(parser.parse_args(argv))
@@ -621,7 +632,7 @@ def main(argv=None) -> int:
     config_path = args.pop("config", None)
     defaults, runner = _COMMANDS[command]
     try:
-        runner(*_resolve(defaults, config_path, args))
+        runner(*_resolve(defaults, config_path, args, _flag_types(parser, command)))
     except ConfigError as exc:
         print(f"pbitsim: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

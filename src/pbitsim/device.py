@@ -211,7 +211,7 @@ def sample_output(
         )
     rng = np.random.default_rng(seed)
     state0, transitions = switching_times(p.smtj, b, n * sample_interval, rng)
-    labels = states_at(state0, transitions, np.arange(n) * sample_interval)
+    labels = states_at(state0, transitions, n, sample_interval)
     out_p = output_voltage(p, v_in, MtjState.PARALLEL)
     out_ap = output_voltage(p, v_in, MtjState.ANTIPARALLEL)
     return np.where(labels == MtjState.ANTIPARALLEL, out_ap, out_p)

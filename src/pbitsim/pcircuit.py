@@ -157,14 +157,6 @@ def word_from_state(m) -> str:
     return "".join("1" if v > 0 else "0" for v in m)
 
 
-def synapse(c: PCircuit, m) -> np.ndarray:
-    """Dimensionless inputs I_i = i0 * (h_i + sum_j J_ij m_j)."""
-    m = np.asarray(m, dtype=float)
-    if m.shape != (c.n,):
-        raise ValueError("state vector size must match the circuit")
-    return c.i0 * (c.h + c.j @ m)
-
-
 class IdealTanh:
     """Binary stochastic neuron with the ideal tanh activation."""
 
@@ -230,12 +222,6 @@ def _isotonic(y: list) -> list:
     for s, c in level:
         out.extend([s / c] * c)
     return out
-
-
-def pbit_update(i_in: float, act, draw: float) -> int:
-    """One stochastic node update: +1 when the uniform draw lands under
-    the activation probability, else -1."""
-    return 1 if draw < act.prob_high(i_in) else -1
 
 
 def gibbs_run(

@@ -438,28 +438,21 @@ def switching_times(
     return state0, all_times[all_times < duration]
 
 
-def states_at(
-    state0: MtjState, transitions: np.ndarray, instants: np.ndarray
-) -> np.ndarray:
-    """State labels (uint8 MtjState values) at the given sampling instants.
+def states_at(state0: MtjState, transitions: np.ndarray, n: int, dt: float) -> np.ndarray:
+    """State labels (uint8 MtjState values) at the sampling instants k * dt, k < n.
 
-    A transition at exactly t is visible at the sample taken at t.  Dwells
-    shorter than the sampling interval can be skipped entirely, as in a real
-    sampled acquisition.
+    transitions holds ascending, non-negative switching instants.  A
+    transition at exactly t is visible at every instant k * dt >= t, with
+    k * dt rounded as np.arange(n) * dt (and the time column to_csv writes)
+    rounds it.  Dwells shorter than dt can be skipped entirely, as in a real
+    sampled acquisition.  Runs in O(len(transitions) + n).
     """
-    flips = np.searchsorted(transitions, instants, side="right")
+    # ceil(t / dt) is at most one step off the first instant at or after t
+    k = np.ceil(transitions / dt).astype(np.int64)
+    k += k * dt < transitions
+    k -= (k - 1) * dt >= transitions
+    flips = np.bincount(k[k < n], minlength=n).cumsum()
     return ((flips + int(state0)) & 1).astype(np.uint8)
-
-
-def _labels_on_grid(
-    state0: MtjState, transitions: np.ndarray, n: int, dt: float
-) -> np.ndarray:
-    """states_at on the uniform grid (0, dt, ..., (n-1) dt), in O(events + n)."""
-    idx = np.ceil(transitions / dt).astype(np.int64)
-    idx = idx[idx < n]
-    flips = np.bincount(idx, minlength=n)
-    cum = np.cumsum(flips)
-    return ((cum + int(state0)) & 1).astype(np.uint8)
 
 
 def sample_trajectory(
@@ -485,7 +478,7 @@ def sample_trajectory(
     rng = np.random.default_rng(seed)
     state0, transitions = switching_times(p, b, duration, rng)
     n = max(1, int(round(duration / dt)))
-    labels = _labels_on_grid(state0, transitions, n, dt)
+    labels = states_at(state0, transitions, n, dt)
     values = np.where(labels == MtjState.ANTIPARALLEL, r_antiparallel(p), p.r_parallel)
     return TelegraphTrace(sample_interval=dt, values=values, labels=labels)
 

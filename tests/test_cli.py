@@ -125,6 +125,39 @@ def test_scipy_loads_only_for_fits(tmp_path):
     assert report["after_commands"] == []
 
 
+# Config values a command cannot take: (command, config file text or None, flags).
+BAD_CONFIGS = [
+    *[(command, "5", []) for command in ("smtj-trace", "field-sweep", "transfer", "gate", "metrics")],
+    ("gate", '{"sweeps": "10"}', []),
+    ("gate", '{"i0": null}', []),
+    ("gate", '{"sweeps": 1e300}', []),
+    ("gate", '{"seed": "abc"}', []),
+    ("smtj-trace", '{"seed": "abc"}', []),
+    ("transfer", '{"tmr": null}', []),
+    ("field-sweep", '{"tmr": null}', []),
+    ("field-sweep", '{"dt_s": "1e-5"}', []),
+    ("transfer", '{"v_inputs_V": 0.6}', []),
+    ("smtj-trace", None, ["--duration-s", "inf"]),
+    ("field-sweep", None, ["--b-max-T", "inf"]),
+    ("transfer", None, ["--sample-interval-s", "inf"]),
+    ("gate", None, ["--i0", "inf"]),
+]
+
+
+@pytest.mark.parametrize("command,config,flags", BAD_CONFIGS)
+def test_bad_config_value_exits_2(tmp_path, capsys, command, config, flags):
+    args = []
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(config)
+        args = ["--config", tmp_path / "cfg.json"]
+    out = tmp_path / "out"
+    assert run(command, *args, *flags, "--out-dir", out) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 class TestSmtjTrace:
     def test_default_device_analysis(self, tmp_path):
         code = run(
@@ -265,6 +298,12 @@ class TestSmtjTrace:
         err = capsys.readouterr().err
         assert "TraceFormatError" in err
         assert "Traceback" not in err
+
+    def test_input_trace_directory_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run("smtj-trace", "--input-trace", tmp_path, "--out-dir", out) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert not out.exists()
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -32,8 +32,6 @@ from pbitsim.pcircuit import (
     gibbs_run,
     merge_histograms,
     or_gate,
-    pbit_update,
-    synapse,
     word_from_state,
 )
 
@@ -62,28 +60,6 @@ def minima(energies):
     return {w for w, e in energies.items() if abs(e - lowest) < 1e-9}
 
 
-class TestSynapse:
-    def test_uncoupled_is_zero(self):
-        c = PCircuit(j=np.zeros((3, 3)), h=np.zeros(3), i0=1.0)
-        assert np.array_equal(synapse(c, [1, -1, 1]), np.zeros(3))
-
-    def test_and_preset_output_node(self):
-        c = and_gate(1.5)
-        i = synapse(c, [1, 1, 1])
-        assert i[2] == pytest.approx(1.5 * (-2 + 2 + 2))
-
-    @given(alpha=st.floats(0.1, 10.0))
-    def test_linear_in_coupling_strength(self, alpha):
-        base = and_gate(1.0)
-        scaled = and_gate(alpha)
-        m = [1, -1, 1]
-        assert np.allclose(synapse(scaled, m), alpha * synapse(base, m))
-
-    def test_dimension_checked(self):
-        with pytest.raises(ValueError):
-            synapse(and_gate(1.0), [1, 1])
-
-
 class TestActivations:
     def test_tanh_values(self):
         act = IdealTanh()
@@ -91,12 +67,6 @@ class TestActivations:
         assert act.prob_high(1.0) == pytest.approx(0.8807970779778823, rel=1e-12)
         assert act.prob_high(50.0) == pytest.approx(1.0, abs=1e-12)
         assert act.prob_high(-50.0) == pytest.approx(0.0, abs=1e-12)
-
-    def test_update_thresholds_on_draw(self):
-        act = IdealTanh()
-        p = act.prob_high(0.7)
-        assert pbit_update(0.7, act, p - 1e-9) == 1
-        assert pbit_update(0.7, act, p + 1e-9) == -1
 
     def test_isotonic_cleanup(self):
         assert _isotonic([0.1, 0.3, 0.2, 0.6]) == [0.1, 0.25, 0.25, 0.6]

@@ -25,6 +25,7 @@ from pbitsim.smtj import (
     r_antiparallel,
     sample_trajectory,
     simulate_field_sweep,
+    states_at,
     switching_times,
 )
 
@@ -198,6 +199,42 @@ class TestSampleTrajectory:
     def test_warns_on_coarse_dt(self):
         with pytest.warns(UserWarning, match="dwells"):
             sample_trajectory(SLOW, SLOW.b_5050, 0.2, 1e-3, seed=0)
+
+
+@st.composite
+def grid_transitions(draw):
+    """(n, dt, transitions): ascending non-negative switching instants placed
+    on grid instants k * dt, one ulp either side of them (k up to n + 1, so
+    at 0 and past the last instant too), and anywhere in between."""
+    dt = draw(st.sampled_from([1e-5, 3.3e-6, 2e-6, 0.1, 1e-9]))
+    n = draw(st.integers(1, 3000))
+    marks = draw(
+        st.lists(st.tuples(st.integers(0, n + 1), st.sampled_from([-1, 0, 1])), max_size=60)
+    )
+    on_grid = [
+        float(k * dt if side == 0 else np.nextafter(k * dt, side * math.inf))
+        for k, side in marks
+    ]
+    between = draw(st.lists(st.floats(0.0, (n + 1) * dt), max_size=20))
+    t = np.sort(np.array(on_grid + between))
+    return n, dt, t[t >= 0]
+
+
+class TestStatesAt:
+    @settings(max_examples=300, deadline=None)
+    @given(case=grid_transitions(), state0=st.sampled_from(MtjState))
+    @example(case=(4, 0.1, np.array([0.0, 0.1, 0.30000000000000004])), state0=MtjState.PARALLEL)
+    def test_matches_searchsorted_rule(self, case, state0):
+        n, dt, t = case
+        # a transition at t is counted by every instant np.arange(n) * dt >= t
+        expected = (np.searchsorted(t, np.arange(n) * dt, side="right") + int(state0)) & 1
+        labels = states_at(state0, t, n, dt)
+        assert labels.dtype == np.uint8
+        assert np.array_equal(labels, expected)
+
+    def test_no_transitions_hold_the_initial_state(self):
+        labels = states_at(MtjState.ANTIPARALLEL, np.empty(0), 5, 1e-5)
+        assert np.array_equal(labels, np.ones(5, dtype=np.uint8))
 
 
 class TestFieldSweepJobs:
