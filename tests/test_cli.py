@@ -141,6 +141,7 @@ BAD_CONFIGS = [
     ("field-sweep", None, ["--b-max-T", "inf"]),
     ("transfer", None, ["--sample-interval-s", "inf"]),
     ("gate", None, ["--i0", "inf"]),
+    ("smtj-trace", None, ["--input-trace", os.curdir]),  # a directory, not a trace
 ]
 
 
@@ -298,12 +299,6 @@ class TestSmtjTrace:
         err = capsys.readouterr().err
         assert "TraceFormatError" in err
         assert "Traceback" not in err
-
-    def test_input_trace_directory_exits_2(self, tmp_path, capsys):
-        out = tmp_path / "out"
-        assert run("smtj-trace", "--input-trace", tmp_path, "--out-dir", out) == 2
-        assert "Traceback" not in capsys.readouterr().err
-        assert not out.exists()
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"
