@@ -69,6 +69,11 @@ GATE_OUTPUT_NODE = 2
 # Entropy tag for the stream that builds the default empirical activation.
 _ACTIVATION_STREAM = 999331
 
+# Most points a stepped field or input grid may hold.  Each point is a
+# simulation of its own (the default grids hold 22 and 21), so a step that
+# gives more is a mistake, reported before the grid is built.
+_GRID_POINTS = 100_000
+
 
 class ConfigError(Exception):
     """Invalid or inconsistent configuration; maps to exit code 2."""
@@ -167,6 +172,8 @@ def _resolve(defaults: dict, config_path, overrides: dict, flag_types: dict) -> 
         kind = flag_types[key] if defaults[key] is None else type(defaults[key])
         if not (value is None and defaults[key] is None or _is_kind(value, kind)):
             raise ConfigError(f"{key} must be {_KIND_NAMES[kind]}, got {value!r}")
+    # numpy seeds take non-negative integers only
+    _require(cfg["seed"] >= 0, f"seed must be >= 0, got {cfg['seed']}")
     return cfg, given
 
 
@@ -222,6 +229,20 @@ def _write_json(path: Path, meta: str, obj: dict) -> None:
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise ConfigError(message)
+
+
+def _grid_count(start: float, stop: float, step: float, name: str) -> int:
+    """Points start + k * step up to stop, or to within 1e-9 steps short of it.
+
+    The count is checked before any grid is built: a step far below the span
+    would otherwise ask for a list or array of astronomically many points.
+    """
+    steps = np.floor((stop - start) / step + 1e-9)
+    _require(
+        steps < _GRID_POINTS,
+        f"{name} grid of step {step:g} holds more than {_GRID_POINTS} points",
+    )
+    return int(steps) + 1
 
 
 def _smtj_from_cfg(cfg: dict) -> SmtjParams:
@@ -308,7 +329,7 @@ def cmd_field_sweep(cfg: dict, given: set) -> None:
     _require(cfg["dt_s"] > 0, "dt_s must be > 0")
     _require(cfg["point_duration_s"] >= cfg["dt_s"], "point_duration_s must cover one sample")
     _require(cfg["jobs"] >= 1, "jobs must be >= 1")
-    count = int(np.floor((cfg["b_max_T"] - cfg["b_min_T"]) / cfg["b_step_T"] + 1e-9)) + 1
+    count = _grid_count(cfg["b_min_T"], cfg["b_max_T"], cfg["b_step_T"], "field")
     _require(count >= 2, "sweep needs at least two field points")
     out = _out_dir(cfg)
     meta = _meta(cfg)
@@ -375,7 +396,7 @@ def _transfer_grid(cfg: dict) -> list:
         grid = [float(v) for v in cfg["v_inputs_V"]]
     else:
         _require(cfg["v_step_V"] > 0, "v_step_V must be > 0")
-        count = int(np.floor((cfg["v_stop_V"] - cfg["v_start_V"]) / cfg["v_step_V"] + 1e-9)) + 1
+        count = _grid_count(cfg["v_start_V"], cfg["v_stop_V"], cfg["v_step_V"], "input")
         grid = [cfg["v_start_V"] + k * cfg["v_step_V"] for k in range(max(count, 0))]
     _require(len(grid) >= 1, "input grid is empty")
     v_dd = cfg["v_dd_V"]

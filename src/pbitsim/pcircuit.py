@@ -32,6 +32,7 @@ the most significant bit.
 
 from __future__ import annotations
 
+import itertools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -43,6 +44,10 @@ from .device import TransferCurve, fit_sigmoid
 ENUMERATION_LIMIT = 20  # exact oracle enumerates at most 2**20 states
 
 _SWEEP_BLOCK = 16384  # fixed block size keeps the draw sequence reproducible
+# Longest rows of update-order keys that _orders sorts by table lookup
+# rather than argsort (a table has 2**(nf * (nf - 1) / 2) rows); every CLI
+# gate has 2 or 3 free nodes.
+_TABLE_KEYS = 3
 # Most free nodes that gibbs_run samples by per-sweep maps.  On a 2-vCPU x86
 # host (random circuits, 20k sweeps, medians of 5), the node loop took
 # 1.4-2.4x the maps' time with 7 free nodes, and 0.80-0.95x with 8 free
@@ -262,8 +267,49 @@ def _sweep_blocks(rng, nf: int, total: int):
     buf = np.empty((min(_SWEEP_BLOCK, total), nf))
     for done in range(0, total, _SWEEP_BLOCK):
         block = min(_SWEEP_BLOCK, total - done)
-        perms = rng.random(out=buf[:block]).argsort(axis=1)
+        perms = _orders(rng.random(out=buf[:block]))
         yield done, perms, rng.random(out=buf[:block])
+
+
+def _orders(keys: np.ndarray) -> np.ndarray:
+    """Update orders of a (sweeps, nf) block of keys: each row's argsort.
+
+    numpy sorts each row of a 2-D argsort as its own call, which costs more
+    than the comparisons when rows are short.  Rows of at most _TABLE_KEYS
+    keys look their order up in _ORDER_TABLES instead, by the outcomes of
+    their pairwise comparisons.  That is the stable argsort, which any
+    argsort equals on keys without ties, as uniform doubles are but for a
+    chance of 2**-53 per pair.
+    """
+    nf = keys.shape[1]
+    if nf > _TABLE_KEYS:
+        return keys.argsort(axis=1)
+    code = np.zeros(len(keys), dtype=np.uint8)
+    for i, j in itertools.combinations(range(nf), 2):
+        code <<= 1
+        code |= keys[:, j] < keys[:, i]
+    return _ORDER_TABLES[nf].take(code, axis=0)
+
+
+def _order_table(nf: int) -> np.ndarray:
+    """Row c: the stable argsort of nf keys whose comparison code is c.
+
+    The code has one bit per pair i < j of columns, in combinations order
+    with the first pair most significant, set when key j is strictly below
+    key i: exactly when a stable sort puts j before i.  Codes that no keys
+    give (a cycle) keep row 0.
+    """
+    table = np.zeros((1 << nf * (nf - 1) // 2, nf), dtype=np.intp)
+    for order in itertools.permutations(range(nf)):
+        rank = {column: r for r, column in enumerate(order)}
+        code = 0
+        for i, j in itertools.combinations(range(nf), 2):
+            code = code << 1 | (rank[j] < rank[i])
+        table[code] = order
+    return table
+
+
+_ORDER_TABLES = {nf: _order_table(nf) for nf in range(1, _TABLE_KEYS + 1)}
 
 
 def _local_fields(c: PCircuit):

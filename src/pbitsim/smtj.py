@@ -423,19 +423,22 @@ def switching_times(
     # dwell-scale alternation pattern is the same in every chunk.
     chunk = int(1.25 * duration / p.tau_mean) + 16
     chunk += chunk & 1
-    scales = np.empty(chunk)
-    scales[0::2] = first
-    scales[1::2] = second
 
+    # Each chunk is scaled, summed and shifted in place; standard_exponential
+    # draws the stream of exponential(1.0), and the pinned tests hold the bytes.
     pieces = []
     t_end = 0.0
     while t_end < duration:
-        holds = rng.exponential(1.0, chunk) * scales
-        times = t_end + np.cumsum(holds)
+        times = rng.standard_exponential(chunk)
+        times[0::2] *= first
+        times[1::2] *= second
+        np.cumsum(times, out=times)
+        times += t_end
         pieces.append(times)
         t_end = times[-1]
-    all_times = np.concatenate(pieces)
-    return state0, all_times[all_times < duration]
+    # only the last chunk reaches duration; its times ascend
+    pieces[-1] = pieces[-1][: np.searchsorted(pieces[-1], duration)]
+    return state0, pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
 
 
 def states_at(state0: MtjState, transitions: np.ndarray, n: int, dt: float) -> np.ndarray:
@@ -445,13 +448,17 @@ def states_at(state0: MtjState, transitions: np.ndarray, n: int, dt: float) -> n
     transition at exactly t is visible at every instant k * dt >= t, with
     k * dt rounded as np.arange(n) * dt (and the time column to_csv writes)
     rounds it.  Dwells shorter than dt can be skipped entirely, as in a real
-    sampled acquisition.  Runs in O(len(transitions) + n).
+    sampled acquisition.  With m = len(transitions), runs in O(n log m) when
+    m > n, by that rule's own searchsorted, and in O(m + n) otherwise.
     """
-    # ceil(t / dt) is at most one step off the first instant at or after t
-    k = np.ceil(transitions / dt).astype(np.int64)
-    k += k * dt < transitions
-    k -= (k - 1) * dt >= transitions
-    flips = np.bincount(k[k < n], minlength=n).cumsum()
+    if transitions.size > n:
+        flips = np.searchsorted(transitions, np.arange(n) * dt, side="right")
+    else:
+        # ceil(t / dt) is at most one step off the first instant at or after t
+        k = np.ceil(transitions / dt).astype(np.int64)
+        k += k * dt < transitions
+        k -= (k - 1) * dt >= transitions
+        flips = np.bincount(k[k < n], minlength=n).cumsum()
     return ((flips + int(state0)) & 1).astype(np.uint8)
 
 

@@ -142,6 +142,15 @@ BAD_CONFIGS = [
     ("transfer", None, ["--sample-interval-s", "inf"]),
     ("gate", None, ["--i0", "inf"]),
     ("smtj-trace", None, ["--input-trace", os.curdir]),  # a directory, not a trace
+    ("gate", None, ["--seed", "-1"]),
+    ("gate", '{"seed": -1}', []),
+    ("smtj-trace", None, ["--seed", "-1"]),
+    ("smtj-trace", '{"seed": -1}', []),
+    # steps that would ask for astronomically long grids
+    ("transfer", None, ["--v-step-V", "1e-300"]),
+    ("transfer", '{"v_step_V": 5e-324}', []),
+    ("field-sweep", None, ["--b-step-T", "1e-300"]),
+    ("field-sweep", '{"b_step_T": 1e-300}', []),
 ]
 
 

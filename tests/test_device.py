@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from pbitsim.device import (
     InverterParams,
     NmosParams,
     PbitParams,
+    _transfer_point,
     calibrate_match,
     drain_voltage,
     fit_sigmoid,
@@ -262,6 +264,24 @@ class TestTransferCurve:
         raised = PbitParams(smtj=smtj30, nmos=base.nmos)  # calibration kept fixed
         hi = transfer_curve(raised, grid, 500, 0.1, smtj30.b_5050, seed=7)
         assert mixed_region_span(hi, 1.2) > mixed_region_span(lo, 1.2)
+
+    def test_point_memory_is_bounded(self):
+        # one point of the gate's empirical activation build: 2000 samples
+        # every 0.1 s of a trajectory with about 48k transitions, whose times
+        # take about 0.48 MB.  Drawing them through a scaled copy, a mask and
+        # a concatenation, and labelling through a per-transition index,
+        # peaks near 2.4 MB.
+        p = calibrated_pbit(inverter=InverterParams(v_switch=0.6, gain=60.0))
+        seed = np.random.SeedSequence((1, 999331))
+        _transfer_point(p, 2000, 0.1, p.smtj.b_5050, seed, 0, 0.6)  # warm caches
+        tracemalloc.start()
+        try:
+            point = _transfer_point(p, 2000, 0.1, p.smtj.b_5050, seed, 60, 0.6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert point.samples.size == 2000
+        assert peak < 2**20, peak
 
 
 def scipy_sigmoid_fit(v, y, v_dd, **tolerances):

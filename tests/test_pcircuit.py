@@ -24,6 +24,7 @@ from pbitsim.pcircuit import (
     _gibbs_loop,
     _gibbs_maps,
     _isotonic,
+    _orders,
     _walk,
     and_gate,
     boltzmann_exact,
@@ -362,6 +363,24 @@ class TestSamplingPaths:
             want.append(word)
         assert visited.dtype == np.uint8
         assert visited.tolist() == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        nf=st.integers(1, 3),
+        rows=st.integers(1, 300),
+        levels=st.sampled_from((None, 2, 3)),  # uniform doubles, or heavily tied keys
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(nf=3, rows=300, levels=3, seed=0)
+    def test_orders_are_the_stable_argsort(self, nf, rows, levels, seed):
+        rng = np.random.default_rng(seed)
+        if levels is None:
+            keys = rng.random((rows, nf))
+        else:
+            keys = rng.integers(0, levels, (rows, nf)) / levels
+        orders = _orders(keys)
+        assert orders.dtype == np.intp
+        assert np.array_equal(orders, keys.argsort(axis=1, kind="stable"))
 
     def test_map_walk_memory_is_bounded(self):
         # maps are built a few thousand sweeps at a time, not a whole block

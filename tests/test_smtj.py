@@ -225,6 +225,9 @@ class TestStatesAt:
     @given(case=grid_transitions(), state0=st.sampled_from(MtjState))
     @example(case=(4, 0.1, np.array([0.0, 0.1, 0.30000000000000004])), state0=MtjState.PARALLEL)
     @example(case=(5, 1e-5, np.empty(0)), state0=MtjState.ANTIPARALLEL)
+    # more transitions than instants, on and between the grid instants
+    @example(case=(2, 0.1, np.array([0.0, 0.05, 0.1, 0.1, 0.15])), state0=MtjState.PARALLEL)
+    @example(case=(1, 1e-9, np.array([0.0, 0.0])), state0=MtjState.ANTIPARALLEL)
     def test_matches_searchsorted_rule(self, case, state0):
         n, dt, t = case
         # a transition at t is counted by every instant np.arange(n) * dt >= t
@@ -232,6 +235,36 @@ class TestStatesAt:
         labels = states_at(state0, t, n, dt)
         assert labels.dtype == np.uint8
         assert np.array_equal(labels, expected)
+
+
+class TestSwitchingTimesPinned:
+    # SHA-256 of the initial state byte and the transition times' bytes, as
+    # the draw-scale-cumsum-concatenate generator produced them.  Fields: the
+    # 50-50 point, off-centre on either side, a pinned occupancy; durations
+    # from 0.01 s to a 200 s activation point; the two at seed 1322 draw a
+    # second chunk.
+    PINNED = [
+        (SLOW, SLOW.b_5050, 1.0, 5, 248,
+         "aa8fc4f66213ff2a099459953cfb797d64ab3b64cc4dad2e10ef6ac469a3cf2c"),
+        (SLOW, SLOW.b_5050, 200.0, 7, 47409,
+         "3363f35ae5807a60a13c6138f5fd70a531f2b6eea7316efc7a9a8eb40894be21"),
+        (SLOW, SLOW.b_5050 + 0.2e-3, 0.5, 3, 112,
+         "bb98167ae847c190e174c94f89ed6a8064b29f6f436082d9397caa982da0a16b"),
+        (FAST, FAST.b_5050 - 0.05e-3, 0.01, 11, 144,
+         "3f6c7a73b49941d09e266e7b1b22b4b9df302e8b81e03151b466011a237b1fff"),
+        (SLOW, SLOW.b_5050 - 0.45e-3, 0.05, 1322, 30,
+         "992e7e6d523007f50816dfd1fc8dd6cf53323074c069039aa5ee1b9561cd0a8a"),
+        (SLOW, SLOW.b_5050 + 0.5e-3, 0.03, 1322, 24,
+         "85347cd2518e6f71e604549dc68e16013d8a660d7f5af89cfecbbf76bbc692fa"),
+        (SLOW, -0.02, 1.0, 0, 0,
+         "4bf5122f344554c53bde2ebb8cd2b7e3d1600ad631c385a5d7cce23c7785459a"),
+    ]
+
+    @pytest.mark.parametrize("p,b,duration,seed,count,digest", PINNED)
+    def test_bytes_pinned(self, p, b, duration, seed, count, digest):
+        state0, times = switching_times(p, b, duration, np.random.default_rng(seed))
+        assert times.dtype == np.float64 and times.size == count
+        assert hashlib.sha256(bytes([state0]) + times.tobytes()).hexdigest() == digest
 
 
 class TestFieldSweepJobs:
