@@ -268,15 +268,13 @@ class TestTransferCurve:
     def test_point_memory_is_bounded(self):
         # one point of the gate's empirical activation build: 2000 samples
         # every 0.1 s of a trajectory with about 48k transitions, whose times
-        # take about 0.48 MB.  Drawing them through a scaled copy, a mask and
-        # a concatenation, and labelling through a per-transition index,
-        # peaks near 2.4 MB.
+        # take about 0.48 MB.  Each temporary of the trajectory's length (a
+        # scaled copy, a mask, a per-transition index) adds about as much.
         p = calibrated_pbit(inverter=InverterParams(v_switch=0.6, gain=60.0))
-        seed = np.random.SeedSequence((1, 999331))
-        _transfer_point(p, 2000, 0.1, p.smtj.b_5050, seed, 0, 0.6)  # warm caches
+        _transfer_point(p, 2000, 0.1, p.smtj.b_5050, 1, 0, 0.6)  # warm caches
         tracemalloc.start()
         try:
-            point = _transfer_point(p, 2000, 0.1, p.smtj.b_5050, seed, 60, 0.6)
+            point = _transfer_point(p, 2000, 0.1, p.smtj.b_5050, 1, 60, 0.6)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -238,11 +238,11 @@ class TestStatesAt:
 
 
 class TestSwitchingTimesPinned:
-    # SHA-256 of the initial state byte and the transition times' bytes, as
-    # the draw-scale-cumsum-concatenate generator produced them.  Fields: the
-    # 50-50 point, off-centre on either side, a pinned occupancy; durations
-    # from 0.01 s to a 200 s activation point; the two at seed 1322 draw a
-    # second chunk.
+    # SHA-256 of the initial state byte and the transition times' bytes; any
+    # change to the draws or to the arithmetic on them shows here.  Fields:
+    # the 50-50 point, off-centre on either side, a pinned occupancy;
+    # durations from 0.01 s to a 200 s activation point; the two at seed
+    # 1322 draw a second chunk.
     PINNED = [
         (SLOW, SLOW.b_5050, 1.0, 5, 248,
          "aa8fc4f66213ff2a099459953cfb797d64ab3b64cc4dad2e10ef6ac469a3cf2c"),
