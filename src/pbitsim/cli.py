@@ -143,11 +143,44 @@ METRICS_DEFAULTS = {
 }
 
 
-def _resolve(defaults: dict, config_path, overrides: dict, flag_types: dict) -> tuple[dict, set]:
+def _float_list(text: str) -> list:
+    return [float(v) for v in text.split(",")]
+
+
+# What a key's default cannot say, as add_argument keywords: the type of a
+# None default, choices and help; "flag" where the flag is not the key's own
+# spelling.
+FLAGS = {
+    "seed": {"help": "master RNG seed"},
+    "out_dir": {"help": "output directory"},
+    "svg": {"help": "also render a minimal SVG plot"},
+    "jobs": {"help": "parallel workers across grid points"},
+    "b_field_T": {"type": float},
+    "input_trace": {"type": str, "help": "analyze this CSV instead of simulating"},
+    "nmos_k_factor_A_per_V2": {"type": float, "flag": "--nmos-k-factor"},
+    "inverter_v_switch_V": {"type": float},
+    "inverter_gain": {"type": float},
+    "v_inputs_V": {
+        "type": _float_list,
+        "flag": "--v-inputs",
+        "help": "comma-separated explicit input list, overrides start/stop/step",
+    },
+    "gate": {"choices": ["and", "or"]},
+    "clamp_c": {"type": int, "choices": [0, 1]},
+    "activation": {"choices": ["ideal", "empirical"]},
+}
+
+
+def _kind(key: str, default) -> type:
+    """What a key's value must be: its FLAGS type, else its default's type."""
+    return FLAGS.get(key, {}).get("type", type(default))
+
+
+def _resolve(defaults: dict, config_path, overrides: dict) -> tuple[dict, set]:
     """Defaults < config file < flags, and the set of keys the file or a flag gave.
 
-    Each value must be of the kind of its default or, where that is None,
-    null or what its flag parses to (flag_types).
+    Each value must be of its key's kind and among its FLAGS choices; where
+    the default is None, null passes too.
     """
     cfg = dict(defaults)
     given = set()
@@ -169,16 +202,17 @@ def _resolve(defaults: dict, config_path, overrides: dict, flag_types: dict) -> 
             cfg[key] = value
             given.add(key)
     for key, value in cfg.items():
-        kind = flag_types[key] if defaults[key] is None else type(defaults[key])
-        if not (value is None and defaults[key] is None or _is_kind(value, kind)):
+        if value is None and defaults[key] is None:
+            continue
+        kind = _kind(key, defaults[key])
+        if not _is_kind(value, kind):
             raise ConfigError(f"{key} must be {_KIND_NAMES[kind]}, got {value!r}")
+        choices = FLAGS.get(key, {}).get("choices")
+        if choices is not None and value not in choices:
+            raise ConfigError(f"{key} must be one of {choices}, got {value!r}")
     # numpy seeds take non-negative integers only
     _require(cfg["seed"] >= 0, f"seed must be >= 0, got {cfg['seed']}")
     return cfg, given
-
-
-def _float_list(text: str) -> list:
-    return [float(v) for v in text.split(",")]
 
 
 def _is_kind(value, kind) -> bool:
@@ -475,12 +509,9 @@ def _default_empirical_activation(seed: int) -> EmpiricalActivation:
 
 
 def cmd_gate(cfg: dict, given: set) -> None:
-    _require(cfg["gate"] in ("and", "or"), "gate must be 'and' or 'or'")
-    _require(cfg["clamp_c"] in (None, 0, 1), "clamp_c must be 0, 1 or omitted")
     _require(cfg["i0"] > 0, "i0 must be > 0")
     _require(cfg["sweeps"] >= 1, "sweeps must be >= 1")
     _require(cfg["burn_in"] >= 0, "burn_in must be >= 0")
-    _require(cfg["activation"] in ("ideal", "empirical"), "unknown activation")
     out = _out_dir(cfg)
     meta = _meta(cfg)
 
@@ -546,21 +577,12 @@ def cmd_metrics(cfg: dict, given: set) -> None:
 # -------------------------------------------------------------------- driver
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="JSON config file")
-    sub.add_argument("--out-dir", dest="out_dir", help="output directory")
-    sub.add_argument("--seed", type=int, help="master RNG seed")
-
-
-def _add_smtj_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--r-parallel-ohm", dest="r_parallel_ohm", type=float)
-    sub.add_argument("--tmr", type=float)
-    sub.add_argument("--tau-mean-s", dest="tau_mean_s", type=float)
-    sub.add_argument("--b-5050-T", dest="b_5050_T", type=float)
-    sub.add_argument("--window-width-T", dest="window_width_T", type=float)
-
-
 def build_parser() -> argparse.ArgumentParser:
+    """Key foo_bar_V of a command's defaults gives its flag --foo-bar-V.
+
+    The flag parses to the key's kind (_kind), a bool key's flag sets True,
+    and FLAGS adds choices and help or respells the flag.
+    """
     parser = argparse.ArgumentParser(
         prog="pbitsim",
         description="Stochastic-MTJ P-Bit simulator: traces, sweeps, transfer "
@@ -568,92 +590,40 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"pbitsim {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    s = subs.add_parser("smtj-trace", help="simulate or analyze a telegraph trace")
-    _add_common(s)
-    _add_smtj_flags(s)
-    s.add_argument("--b-field-T", dest="b_field_T", type=float)
-    s.add_argument("--duration-s", dest="duration_s", type=float)
-    s.add_argument("--dt-s", dest="dt_s", type=float)
-    s.add_argument("--input-trace", dest="input_trace", help="analyze this CSV instead of simulating")
-    s.add_argument("--bias-current-A", dest="bias_current_A", type=float)
-    s.add_argument("--offset-ohm", dest="offset_ohm", type=float)
-    s.add_argument("--svg", action="store_const", const=True, help="also render a minimal SVG plot")
-
-    s = subs.add_parser("field-sweep", help="extract the stochastic window from a field sweep")
-    _add_common(s)
-    _add_smtj_flags(s)
-    s.add_argument("--b-min-T", dest="b_min_T", type=float)
-    s.add_argument("--b-max-T", dest="b_max_T", type=float)
-    s.add_argument("--b-step-T", dest="b_step_T", type=float)
-    s.add_argument("--point-duration-s", dest="point_duration_s", type=float)
-    s.add_argument("--dt-s", dest="dt_s", type=float)
-    s.add_argument("--jobs", type=int, help="parallel workers across field points")
-    s.add_argument("--svg", action="store_const", const=True, help="also render a minimal SVG plot")
-
-    s = subs.add_parser("transfer", help="sample the P-Bit transfer curve")
-    _add_common(s)
-    _add_smtj_flags(s)
-    s.add_argument("--v-dd-V", dest="v_dd_V", type=float)
-    s.add_argument("--nmos-v-threshold-V", dest="nmos_v_threshold_V", type=float)
-    s.add_argument("--nmos-k-factor", dest="nmos_k_factor_A_per_V2", type=float)
-    s.add_argument("--inverter-v-switch-V", dest="inverter_v_switch_V", type=float)
-    s.add_argument("--inverter-gain", dest="inverter_gain", type=float)
-    s.add_argument("--b-field-T", dest="b_field_T", type=float)
-    s.add_argument("--v-start-V", dest="v_start_V", type=float)
-    s.add_argument("--v-stop-V", dest="v_stop_V", type=float)
-    s.add_argument("--v-step-V", dest="v_step_V", type=float)
-    s.add_argument(
-        "--v-inputs",
-        dest="v_inputs_V",
-        type=_float_list,
-        help="comma-separated explicit input list, overrides start/stop/step",
-    )
-    s.add_argument("--n-per-point", dest="n_per_point", type=int)
-    s.add_argument("--sample-interval-s", dest="sample_interval_s", type=float)
-    s.add_argument("--jobs", type=int, help="parallel workers across grid points")
-    s.add_argument("--svg", action="store_const", const=True, help="also render a minimal SVG plot")
-
-    s = subs.add_parser("gate", help="run the invertible AND/OR gate against the exact oracle")
-    _add_common(s)
-    s.add_argument("--gate", choices=["and", "or"])
-    s.add_argument("--clamp-c", dest="clamp_c", type=int, choices=[0, 1])
-    s.add_argument("--i0", type=float)
-    s.add_argument("--sweeps", type=int)
-    s.add_argument("--burn-in", dest="burn_in", type=int)
-    s.add_argument("--all-modes", dest="all_modes", action="store_const", const=True)
-    s.add_argument("--activation", choices=["ideal", "empirical"])
-    s.add_argument("--svg", action="store_const", const=True, help="also render a minimal SVG plot")
-
-    s = subs.add_parser("metrics", help="write the power / throughput comparison points")
-    _add_common(s)
-
+    for command, (defaults, _, summary) in _COMMANDS.items():
+        sub = subs.add_parser(command, help=summary)
+        sub.add_argument("--config", help="JSON config file")
+        for key, default in defaults.items():
+            options = {**FLAGS.get(key, {}), "dest": key}
+            flag = options.pop("flag", "--" + key.replace("_", "-"))
+            if isinstance(default, bool):
+                options.update(action="store_const", const=True)
+            else:
+                options["type"] = _kind(key, default)
+            sub.add_argument(flag, **options)
     return parser
 
 
+# command: (its config keys and their defaults, runner, --help summary)
 _COMMANDS = {
-    "smtj-trace": (TRACE_DEFAULTS, cmd_smtj_trace),
-    "field-sweep": (SWEEP_DEFAULTS, cmd_field_sweep),
-    "transfer": (TRANSFER_DEFAULTS, cmd_transfer),
-    "gate": (GATE_DEFAULTS, cmd_gate),
-    "metrics": (METRICS_DEFAULTS, cmd_metrics),
+    "smtj-trace": (TRACE_DEFAULTS, cmd_smtj_trace, "simulate or analyze a telegraph trace"),
+    "field-sweep": (
+        SWEEP_DEFAULTS, cmd_field_sweep, "extract the stochastic window from a field sweep"
+    ),
+    "transfer": (TRANSFER_DEFAULTS, cmd_transfer, "sample the P-Bit transfer curve"),
+    "gate": (GATE_DEFAULTS, cmd_gate, "run the invertible AND/OR gate against the exact oracle"),
+    "metrics": (
+        METRICS_DEFAULTS, cmd_metrics, "write the power / throughput comparison points"
+    ),
 }
 
 
-def _flag_types(parser: argparse.ArgumentParser, command: str) -> dict:
-    """Config key -> what the command's flag for it parses to (str when untyped)."""
-    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    return {a.dest: a.type or str for a in commands.choices[command]._actions}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = vars(parser.parse_args(argv))
-    command = args.pop("command")
-    config_path = args.pop("config", None)
-    defaults, runner = _COMMANDS[command]
+    args = vars(build_parser().parse_args(argv))
+    defaults, runner, _ = _COMMANDS[args.pop("command")]
+    config_path = args.pop("config")
     try:
-        runner(*_resolve(defaults, config_path, args, _flag_types(parser, command)))
+        runner(*_resolve(defaults, config_path, args))
     except ConfigError as exc:
         print(f"pbitsim: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

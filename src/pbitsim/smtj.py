@@ -512,17 +512,20 @@ def _sweep_point(
 
 
 def _map_points(point, items: list, jobs: int) -> list:
-    """[point(i, x) for i, x in enumerate(items)], over jobs worker processes.
+    """[point(i, x) for i, x in enumerate(items)], over up to jobs worker processes.
 
-    Callers seed point i from (seed, i) alone, so the list does not depend on
-    jobs.  point must pickle (a module-level function or a functools.partial
-    of one) when jobs > 1.
+    The pool holds min(jobs, len(items), _usable_cpus()) workers, since a
+    fork pool starts all of them at once; with one, the points run in this
+    process.  Callers seed point i from (seed, i) alone, so the list does not
+    depend on jobs or the worker count.  point must pickle (a module-level
+    function or a functools.partial of one) when the pool runs.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    if jobs == 1:
+    workers = min(jobs, len(items), _usable_cpus())
+    if workers <= 1:
         return [point(i, x) for i, x in enumerate(items)]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(point, range(len(items)), items))
 
 

@@ -10,6 +10,7 @@ import pytest
 
 import pbitsim
 from pbitsim.analysis import load_trace, threshold_states
+from pbitsim import cli
 from pbitsim.cli import main
 from pbitsim.smtj import SmtjParams, sample_trajectory
 
@@ -151,6 +152,10 @@ BAD_CONFIGS = [
     ("transfer", '{"v_step_V": 5e-324}', []),
     ("field-sweep", None, ["--b-step-T", "1e-300"]),
     ("field-sweep", '{"b_step_T": 1e-300}', []),
+    # values outside a key's choices
+    ("gate", '{"gate": "xor"}', []),
+    ("gate", '{"activation": "exact"}', []),
+    ("gate", '{"clamp_c": 2}', []),
 ]
 
 
@@ -166,6 +171,56 @@ def test_bad_config_value_exits_2(tmp_path, capsys, command, config, flags):
     assert "config error" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+# Flags spelled other than "--" + the key with "_" as "-".
+FLAG_SPELLINGS = {"nmos_k_factor_A_per_V2": "--nmos-k-factor", "v_inputs_V": "--v-inputs"}
+
+# (flag text, value) for keys whose default does not say their kind, or that
+# take choices.
+FLAG_VALUES = {
+    "b_field_T": ("-0.0071", -0.0071),
+    "input_trace": ("scope.csv", "scope.csv"),
+    "nmos_k_factor_A_per_V2": ("2.5e-4", 2.5e-4),
+    "inverter_v_switch_V": ("0.55", 0.55),
+    "inverter_gain": ("40", 40.0),
+    "v_inputs_V": ("0.59,0.6", [0.59, 0.6]),
+    "gate": ("or", "or"),
+    "clamp_c": ("1", 1),
+    "activation": ("empirical", "empirical"),
+}
+
+
+def _flag_argv(key, default):
+    """The flag for key and a value it gives, other than the default."""
+    flag = FLAG_SPELLINGS.get(key, "--" + key.replace("_", "-"))
+    if key in FLAG_VALUES:
+        text, value = FLAG_VALUES[key]
+        return [flag, text], value
+    if isinstance(default, bool):
+        return [flag], True
+    return {int: ([flag, "7"], 7), float: ([flag, "0.375"], 0.375),
+            str: ([flag, "elsewhere"], "elsewhere")}[type(default)]
+
+
+@pytest.mark.parametrize(
+    "command,key",
+    [(command, key) for command, (defaults, *_) in cli._COMMANDS.items() for key in defaults],
+)
+def test_every_key_has_its_flag(tmp_path, command, key):
+    defaults = cli._COMMANDS[command][0]
+    argv, value = _flag_argv(key, defaults[key])
+    args = vars(cli.build_parser().parse_args([command, *argv]))
+    assert args.pop("command") == command and args.pop("config") is None
+    assert {k for k, v in args.items() if v is not None} == {key}
+    from_flag, given = cli._resolve(defaults, None, args)
+    assert given == {key}
+    (tmp_path / "cfg.json").write_text(json.dumps({key: value}))
+    from_file, _ = cli._resolve(defaults, tmp_path / "cfg.json", {})
+    assert from_flag == from_file == {**defaults, key: value}
+    if key in FLAG_SPELLINGS:  # the key's own spelling is no flag
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args([command, "--" + key.replace("_", "-"), argv[1]])
 
 
 class TestSmtjTrace:

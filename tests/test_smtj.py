@@ -282,6 +282,41 @@ class TestFieldSweepJobs:
         )
         assert all(ra != rb for (_, ra), (_, rb) in zip(a, b))
 
+    @pytest.mark.parametrize(
+        "jobs,points,cpus,workers",
+        [
+            (5000, 22, 64, 22),  # capped at the points
+            (5000, 22, 4, 4),  # capped at the CPUs
+            (3, 22, 64, 3),
+            (2, 22, 1, None),  # one worker: no pool
+            (5000, 1, 64, None),
+            (5000, 0, 64, None),
+        ],
+    )
+    def test_pool_capped_at_points_and_cpus(self, monkeypatch, jobs, points, cpus, workers):
+        # A fork pool starts all max_workers processes up front.  The fake
+        # records its size and maps serially, so no process starts here.
+        pools = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(smtj.concurrent.futures, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(smtj, "_usable_cpus", lambda: cpus)
+        items = [0.5 * k for k in range(points)]
+        assert smtj._map_points(lambda i, x: (i, x), items, jobs) == list(enumerate(items))
+        assert pools == ([] if workers is None else [workers])
+
     def test_jobs_below_one_rejected(self):
         with pytest.raises(ValueError, match="jobs"):
             simulate_field_sweep(FAST, [FAST.b_5050], 0.01, 2e-6, seed=1, jobs=0)
