@@ -11,12 +11,13 @@ provides the independent cross check.
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .smtj import TelegraphTrace, TraceFormatError, _read_rows, _trace_header
+from .smtj import TelegraphTrace
 
 
 class AnalysisError(Exception):
@@ -42,6 +43,10 @@ class TooFewTransitions(AnalysisError):
 
 class NoWindow(AnalysisError):
     """Raised when a field sweep shows no stochastic window."""
+
+
+class TraceFormatError(ValueError):
+    """Raised when a trace CSV does not hold a well-formed uniform series."""
 
 
 @dataclass(frozen=True)
@@ -506,6 +511,61 @@ def _sidecar_bias_current(sidecar: Path) -> float:
             f"bias_current_A, got {json.dumps(obj)[:80]}"
         )
     return float(bias)
+
+
+# Largest deviation of a time step from the first one, relative to it, that
+# still counts as a uniform sampling grid.
+_GRID_TOLERANCE = 1e-3
+
+
+def _trace_header(file) -> tuple[int, list[str]]:
+    """Line index and columns of the first line that is neither blank nor '#'."""
+    for index, line in enumerate(file):
+        line = line.strip()
+        if line and not line.startswith("#"):
+            return index, line.split(",")
+    raise TraceFormatError("trace file holds no data")
+
+
+def _read_rows(
+    path: Path, skiprows: int, labeled: bool
+) -> tuple[float, np.ndarray, np.ndarray | None]:
+    """Parse the data rows of a trace CSV: (sample_interval, values, labels).
+
+    skiprows lines precede the first data row.  The first two columns are
+    time and sample; when labeled the third is the state, AP exactly for the
+    anti-parallel state and anything else for parallel.  Further columns are
+    ignored.  '#' comments and empty lines are skipped.  The time column must
+    be a uniform grid and every sample finite.
+    """
+    fields = [("t", float), ("x", float)] + ([("s", "U3")] if labeled else [])
+    try:
+        with warnings.catch_warnings():
+            # a file without data rows is reported below, not as a warning
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            rows = np.loadtxt(
+                path, dtype=fields, delimiter=",", skiprows=skiprows,
+                usecols=range(len(fields)), ndmin=1,
+            )
+    except ValueError as exc:
+        raise TraceFormatError(f"malformed trace row: {exc}") from exc
+    if rows.size < 2:
+        raise TraceFormatError("trace file must hold at least two samples")
+    times = rows["t"]
+    dt = float(times[1] - times[0])
+    if not dt > 0:
+        raise TraceFormatError(f"time column must increase, first step is {dt:g} s")
+    if not np.all(np.abs(np.diff(times) - dt) <= _GRID_TOLERANCE * dt):
+        raise TraceFormatError(
+            f"time column is not a uniform grid: steps deviate from {dt:g} s by more than "
+            f"{_GRID_TOLERANCE:g} of it"
+        )
+    values = np.ascontiguousarray(rows["x"])
+    if not np.all(np.isfinite(values)):
+        bad = int(np.flatnonzero(~np.isfinite(values))[0])
+        raise TraceFormatError(f"sample {bad} is not finite: {values[bad]}")
+    labels = (rows["s"] == "AP").astype(np.uint8) if labeled else None
+    return dt, values, labels
 
 
 def load_trace(

@@ -5,7 +5,8 @@ JSON config file and explicit flags (in that order), validates it before any
 file is written, and stamps each output file with a metadata header line
 (tool version, seed, config hash) prefixed with '#'.
 
-Exit codes: 0 success, 2 configuration error, 3 runtime / analysis error.
+Exit codes: 0 success, 2 configuration error, 3 runtime / analysis error
+(a request too large for memory included).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import re
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -592,6 +594,9 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
     for command, (defaults, _, summary) in _COMMANDS.items():
         sub = subs.add_parser(command, help=summary)
+        # No flag starts with -<digit> or -.<digit>, so such a token is a
+        # value: argparse's own pattern misses -8e-3 and -0.1,0.6.
+        sub._negative_number_matcher = re.compile(r"-\.?\d")
         sub.add_argument("--config", help="JSON config file")
         for key, default in defaults.items():
             options = {**FLAGS.get(key, {}), "dest": key}
@@ -627,7 +632,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"pbitsim: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (AnalysisError, PCircuitError, ValueError) as exc:
+    except (AnalysisError, PCircuitError, ValueError, MemoryError) as exc:
         print(f"pbitsim: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     return EXIT_OK

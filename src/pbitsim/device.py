@@ -72,41 +72,14 @@ class PbitParams:
     nmos: NmosParams = field(default_factory=NmosParams)
     inverter: InverterParams | None = None
     v_dd: float = 1.2
-    c_load: float = 1e-15
 
     def __post_init__(self) -> None:
         if self.v_dd <= 0:
             raise ValueError("v_dd must be > 0")
-        if self.c_load < 0:
-            raise ValueError("c_load must be >= 0")
         if self.inverter is None:
             object.__setattr__(self, "inverter", InverterParams(v_switch=self.v_dd / 2))
         if not 0 < self.inverter.v_switch < self.v_dd:
             raise ValueError("v_switch must lie strictly inside (0, v_dd)")
-
-    def to_json(self) -> dict:
-        return {
-            "smtj": self.smtj.to_json(),
-            "nmos_v_threshold_V": self.nmos.v_threshold,
-            "nmos_k_factor_A_per_V2": self.nmos.k_factor,
-            "inverter_v_switch_V": self.inverter.v_switch,
-            "inverter_gain": None if math.isinf(self.inverter.gain) else self.inverter.gain,
-            "v_dd_V": self.v_dd,
-            "c_load_F": self.c_load,
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "PbitParams":
-        gain = obj.get("inverter_gain")
-        return cls(
-            smtj=SmtjParams.from_json(obj["smtj"]),
-            nmos=NmosParams(obj["nmos_v_threshold_V"], obj["nmos_k_factor_A_per_V2"]),
-            inverter=InverterParams(
-                obj["inverter_v_switch_V"], IDEAL_GAIN if gain is None else gain
-            ),
-            v_dd=obj["v_dd_V"],
-            c_load=obj["c_load_F"],
-        )
 
 
 @dataclass(frozen=True)

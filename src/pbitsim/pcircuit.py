@@ -111,24 +111,6 @@ class PCircuit:
     def free_nodes(self) -> list:
         return [i for i in range(self.n) if i not in self.clamps]
 
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "J": self.j.tolist(),
-            "h": self.h.tolist(),
-            "i0": self.i0,
-            "clamps": {str(k): v for k, v in sorted(self.clamps.items())},
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "PCircuit":
-        return cls(
-            j=np.asarray(obj["J"], dtype=float),
-            h=np.asarray(obj["h"], dtype=float),
-            i0=obj["i0"],
-            clamps={int(k): int(v) for k, v in obj.get("clamps", {}).items()},
-        )
-
 
 @dataclass(frozen=True)
 class StateHistogram:

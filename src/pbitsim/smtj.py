@@ -32,17 +32,8 @@ _OCC_PINNED = 1e-12
 # the occupancy span roughly [0.02, 0.98] across the stated window.
 OCC_WINDOW_DIVISOR = 8.0
 
-
-class TraceFormatError(ValueError):
-    """Raised when a trace CSV does not hold a well-formed uniform series."""
-
-
 # Rows TelegraphTrace.to_csv renders per round of its thread pool.
 _CSV_ROWS = 1 << 16
-
-# Largest deviation of a time step from the first one, relative to it, that
-# still counts as a uniform sampling grid.
-_GRID_TOLERANCE = 1e-3
 
 
 class MtjState(enum.IntEnum):
@@ -189,18 +180,6 @@ class TelegraphTrace:
         _render_g12_slow(rows, left)
         return rows[rows != 0].tobytes().decode("ascii")
 
-    @classmethod
-    def from_csv(cls, file) -> "TelegraphTrace":
-        """Read a trace written by to_csv. Lines starting with '#' are skipped.
-
-        Raises TraceFormatError on a malformed file (see _read_rows).
-        """
-        _, cols = _trace_header(iter(file.readline, ""))
-        if cols[:2] != ["time_s", "resistance_ohm"]:
-            raise TraceFormatError(f"unexpected trace header: {','.join(cols)!r}")
-        dt, values, labels = _read_rows(file, 0, labeled=len(cols) > 2)
-        return cls(sample_interval=dt, values=values, labels=labels)
-
 
 def _usable_cpus() -> int:
     """CPUs this process may run on: its affinity mask where the OS has one."""
@@ -307,57 +286,6 @@ def _render_g12_slow(rows: np.ndarray, left: list) -> None:
     shift = dest - starts
     chars = text != ord("\n")
     rows.reshape(-1)[(shift[cell] + np.arange(text.size))[chars]] = text[chars]
-
-
-def _trace_header(lines) -> tuple[int, list[str]]:
-    """Line index and columns of the first line that is neither blank nor '#'."""
-    for index, line in enumerate(lines):
-        line = line.strip()
-        if line and not line.startswith("#"):
-            return index, line.split(",")
-    raise TraceFormatError("trace file holds no data")
-
-
-def _read_rows(
-    source, skiprows: int, labeled: bool
-) -> tuple[float, np.ndarray, np.ndarray | None]:
-    """Parse the data rows of a trace CSV: (sample_interval, values, labels).
-
-    source is a path or an open text file positioned so that skiprows lines
-    precede the first data row.  The first two columns are time and sample;
-    when labeled the third is the state, AP exactly for the anti-parallel
-    state and anything else for parallel.  Further columns are ignored.  '#'
-    comments and empty lines are skipped.  The time column must be a uniform
-    grid and every sample finite.
-    """
-    fields = [("t", float), ("x", float)] + ([("s", "U3")] if labeled else [])
-    try:
-        with warnings.catch_warnings():
-            # a file without data rows is reported below, not as a warning
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            rows = np.loadtxt(
-                source, dtype=fields, delimiter=",", skiprows=skiprows,
-                usecols=range(len(fields)), ndmin=1,
-            )
-    except ValueError as exc:
-        raise TraceFormatError(f"malformed trace row: {exc}") from exc
-    if rows.size < 2:
-        raise TraceFormatError("trace file must hold at least two samples")
-    times = rows["t"]
-    dt = float(times[1] - times[0])
-    if not dt > 0:
-        raise TraceFormatError(f"time column must increase, first step is {dt:g} s")
-    if not np.all(np.abs(np.diff(times) - dt) <= _GRID_TOLERANCE * dt):
-        raise TraceFormatError(
-            f"time column is not a uniform grid: steps deviate from {dt:g} s by more than "
-            f"{_GRID_TOLERANCE:g} of it"
-        )
-    values = np.ascontiguousarray(rows["x"])
-    if not np.all(np.isfinite(values)):
-        bad = int(np.flatnonzero(~np.isfinite(values))[0])
-        raise TraceFormatError(f"sample {bad} is not finite: {values[bad]}")
-    labels = (rows["s"] == "AP").astype(np.uint8) if labeled else None
-    return dt, values, labels
 
 
 def r_antiparallel(p: SmtjParams) -> float:

@@ -14,6 +14,7 @@ from pbitsim.analysis import (
     NoWindow,
     StochasticWindow,
     TooFewTransitions,
+    TraceFormatError,
     UnimodalTrace,
     ZeroVariance,
     _acf_fft,
@@ -30,7 +31,6 @@ from pbitsim.analysis import (
 from pbitsim.smtj import (
     SmtjParams,
     TelegraphTrace,
-    TraceFormatError,
     r_antiparallel,
     sample_trajectory,
     simulate_field_sweep,
@@ -414,16 +414,12 @@ class TestLoadTraceParity:
         path = tmp_path / "trace.csv"
         write_lines(path, LAYOUTS[layout]([header] + rows), "\r\n" if layout == "crlf" else "\n")
         dt, values, labels = expected_trace(fmt)
-        traces = [load_trace(path, bias_current=BIAS)]
-        if fmt == "native":
-            with open(path) as f:
-                traces.append(TelegraphTrace.from_csv(f))
-        for back in traces:
-            assert back.sample_interval == dt
-            assert np.array_equal(back.values, values)
-            assert (back.labels is None) == (labels is None)
-            if labels is not None:
-                assert np.array_equal(back.labels, labels)
+        back = load_trace(path, bias_current=BIAS)
+        assert back.sample_interval == dt
+        assert np.array_equal(back.values, values)
+        assert (back.labels is None) == (labels is None)
+        if labels is not None:
+            assert np.array_equal(back.labels, labels)
 
     @pytest.mark.parametrize("fmt", sorted(TRACE_FORMATS))
     def test_repeated_header_rejected(self, tmp_path, fmt):

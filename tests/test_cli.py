@@ -223,6 +223,49 @@ def test_every_key_has_its_flag(tmp_path, command, key):
             cli.build_parser().parse_args([command, "--" + key.replace("_", "-"), argv[1]])
 
 
+@pytest.mark.parametrize(
+    "command,key",
+    [
+        (command, key)
+        for command, (defaults, *_) in cli._COMMANDS.items()
+        for key, default in defaults.items()
+        if cli._kind(key, default) is float
+    ],
+)
+def test_negative_exponent_value_parses(command, key):
+    flag = FLAG_SPELLINGS.get(key, "--" + key.replace("_", "-"))
+    args = vars(cli.build_parser().parse_args([command, flag, "-7e-3"]))
+    assert args[key] == -0.007
+
+
+def test_negative_input_list_reaches_grid_check(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run("transfer", "--v-inputs", "-0.1,0.6", "--out-dir", out) == 2
+    err = capsys.readouterr().err
+    assert err == "pbitsim: config error: grid inputs must lie in [0, v_dd]\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command,runner",
+    [
+        ("smtj-trace", "sample_trajectory"),
+        ("field-sweep", "simulate_field_sweep"),
+        ("transfer", "transfer_curve"),
+    ],
+)
+def test_oversized_request_exits_3(tmp_path, monkeypatch, capsys, command, runner):
+    # numpy raises MemoryError when an array cannot be allocated; raising it
+    # here keeps the test from asking the OS for that memory
+    def oversized(*args, **kwargs):
+        raise MemoryError("Unable to allocate 2.17 TiB for an array")
+
+    monkeypatch.setattr(cli, runner, oversized)
+    assert run(command, "--out-dir", tmp_path / "out") == 3
+    err = capsys.readouterr().err
+    assert err == "pbitsim: MemoryError: Unable to allocate 2.17 TiB for an array\n"
+
+
 class TestSmtjTrace:
     def test_default_device_analysis(self, tmp_path):
         code = run(
@@ -279,6 +322,22 @@ class TestSmtjTrace:
         result = read_json(out / "analysis.json")
         assert result["tmr"] == pytest.approx(0.145, rel=1e-6)
         assert result["dwell_acf_s"] == pytest.approx(68.9e-6, rel=0.15)
+
+    def test_reanalyzed_native_trace_matches(self, tmp_path):
+        # the labeled trace.csv smtj-trace writes, '#' meta line included,
+        # reads back through --input-trace to the same analysis
+        gen, again = tmp_path / "gen", tmp_path / "again"
+        assert run(
+            "smtj-trace", "--out-dir", gen,
+            "--tau-mean-s", 68.9e-6, "--duration-s", 0.5, "--dt-s", 2e-6,
+        ) == 0
+        assert run("smtj-trace", "--out-dir", again, "--input-trace", gen / "trace.csv") == 0
+        first, second = read_json(gen / "analysis.json"), read_json(again / "analysis.json")
+        for key in ("n_samples", "occupancy_ap", "dwell_direct_s", "dwell_acf_s"):
+            assert second[key] == first[key]
+        # %.12g rounds r_ap in the written trace
+        for key in ("r_low_ohm", "r_high_ohm", "threshold_ohm", "tmr"):
+            assert second[key] == pytest.approx(first[key], rel=1e-9)
 
     def test_analyzed_trace_bytes_pinned(self, tmp_path):
         # SHA-256 of trace.csv below its metadata line (which hashes the

@@ -1,5 +1,4 @@
 import io
-import json
 import math
 import tracemalloc
 
@@ -345,11 +344,6 @@ class TestSigmoidFitMatchesCurveFit:
 
 
 class TestSerialization:
-    def test_pbit_json_roundtrip(self):
-        p = calibrated_pbit()
-        back = PbitParams.from_json(json.loads(json.dumps(p.to_json())))
-        assert back == p
-
     def test_curve_csv_headers(self):
         p = calibrated_pbit()
         curve = transfer_curve(p, [0.6], 5, 0.1, p.smtj.b_5050, seed=1)

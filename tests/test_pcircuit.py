@@ -1,6 +1,5 @@
 import io
 import itertools
-import json
 import math
 import tracemalloc
 
@@ -440,15 +439,6 @@ class TestStructures:
             clamp(and_gate(1.0), 5, 1)
         with pytest.raises(ValueError):
             clamp(and_gate(1.0), 2, 2)
-
-    def test_circuit_json_roundtrip(self):
-        c = clamp(or_gate(2.0), 2, 1)
-        obj = json.loads(json.dumps(c.to_json()))
-        assert set(obj) == {"n", "J", "h", "i0", "clamps"}
-        back = PCircuit.from_json(obj)
-        assert np.array_equal(back.j, c.j)
-        assert np.array_equal(back.h, c.h)
-        assert back.clamps == c.clamps
 
     def test_merge_histograms(self):
         a = StateHistogram(n=2, counts={"00": 3, "01": 1})

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from scipy import special, stats
 
 from pbitsim import smtj
+from pbitsim.analysis import load_trace
 from pbitsim.smtj import (
     _CSV_ROWS,
     MtjState,
@@ -498,12 +499,12 @@ class TestTraceCsvThreads:
 
 
 class TestTraceCsv:
-    def test_roundtrip_with_labels(self):
+    def test_roundtrip_with_labels(self, tmp_path):
         tr = sample_trajectory(FAST, FAST.b_5050, 0.01, 5e-6, seed=4)
-        buf = io.StringIO()
-        tr.to_csv(buf)
-        buf.seek(0)
-        back = TelegraphTrace.from_csv(buf)
+        path = tmp_path / "trace.csv"
+        with open(path, "w", newline="") as f:
+            tr.to_csv(f)
+        back = load_trace(path)
         assert back.sample_interval == pytest.approx(tr.sample_interval, rel=1e-9)
         assert np.array_equal(back.values, tr.values)
         assert np.array_equal(back.labels, tr.labels)
