@@ -186,32 +186,20 @@ def autocorrelation(trace: TelegraphTrace, max_lag: int) -> np.ndarray:
     n = x.size
     if not 0 < max_lag < n / 4:
         raise ValueError(f"max_lag must be in (0, n/4), got {max_lag} for n={n}")
-    if float(x.max()) == float(x.min()):
+    lo, hi = x.min(), x.max()
+    if float(hi) == float(lo):
         raise ZeroVariance("constant trace has no correlation structure")
 
-    levels = _two_levels_of(x)
-    if levels is not None:
-        z = x == levels[1]
-        n_spikes = 2 * np.count_nonzero(np.diff(z))
-        if n_spikes * n_spikes * max_lag <= _SPIKE_PAIR_BUDGET * n:
-            acf = _acf_two_level(z, max_lag)
-        else:
-            acf = _acf_fft(x, max_lag)
+    z = x == hi
+    n_spikes = 2 * np.count_nonzero(np.diff(z)) if np.all(z | (x == lo)) else np.inf
+    if n_spikes * n_spikes * max_lag <= _SPIKE_PAIR_BUDGET * n:
+        acf = _acf_two_level(z, max_lag)
     else:
+        del z  # not held through the FFT's own peak
         acf = _acf_fft(x, max_lag)
     acf[0] = 1.0
     lags = np.arange(max_lag + 1) * trace.sample_interval
     return np.column_stack([lags, acf])
-
-
-def _two_levels_of(x: np.ndarray) -> tuple[float, float] | None:
-    """The two distinct values of x, or None if there are more than two."""
-    a = x[0]
-    other = x[x != a]
-    b = other[0]  # at least one exists: caller rejected constant traces
-    if np.any((other != b)):
-        return None
-    return (a, b) if a < b else (b, a)
 
 
 def _acf_fft(x: np.ndarray, max_lag: int) -> np.ndarray:

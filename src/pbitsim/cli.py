@@ -1,12 +1,13 @@
 """Command line front end: reproducible experiments with CSV/JSON outputs.
 
 Every command resolves its configuration from built-in defaults, an optional
-JSON config file and explicit flags (in that order), validates it before any
-file is written, and stamps each output file with a metadata header line
+JSON config file and explicit flags (in that order) and returns its output
+files.  Only once the command has succeeded does `main` make the output
+directory and write them, each but an SVG stamped with a metadata header line
 (tool version, seed, config hash) prefixed with '#'.
 
 Exit codes: 0 success, 2 configuration error, 3 runtime / analysis error
-(a request too large for memory included).
+(a request too large for memory, or a write the OS refuses, included).
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import json
 import re
 import sys
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -58,7 +60,7 @@ from .pcircuit import (
     gibbs_run,
     or_gate,
 )
-from .smtj import SmtjParams, r_antiparallel, sample_trajectory, simulate_field_sweep
+from .smtj import SmtjParams, _point_seed, r_antiparallel, sample_trajectory, simulate_field_sweep
 from .svg import bar_svg, line_svg
 
 EXIT_OK = 0
@@ -68,7 +70,8 @@ EXIT_RUNTIME = 3
 # Node index of the gate output C in the AND / OR presets.
 GATE_OUTPUT_NODE = 2
 
-# Entropy tag for the stream that builds the default empirical activation.
+# Point index, under smtj._point_seed, of the stream that builds the default
+# empirical activation.
 _ACTIVATION_STREAM = 999331
 
 # Most points a stepped field or input grid may hold.  Each point is a
@@ -182,7 +185,8 @@ def _resolve(defaults: dict, config_path, overrides: dict) -> tuple[dict, set]:
     """Defaults < config file < flags, and the set of keys the file or a flag gave.
 
     Each value must be of its key's kind and among its FLAGS choices; where
-    the default is None, null passes too.
+    the default is None, null passes too.  An out_dir that exists must be a
+    directory.
     """
     cfg = dict(defaults)
     given = set()
@@ -214,6 +218,8 @@ def _resolve(defaults: dict, config_path, overrides: dict) -> tuple[dict, set]:
             raise ConfigError(f"{key} must be one of {choices}, got {value!r}")
     # numpy seeds take non-negative integers only
     _require(cfg["seed"] >= 0, f"seed must be >= 0, got {cfg['seed']}")
+    out = Path(cfg["out_dir"])
+    _require(out.is_dir() or not out.exists(), f"out_dir {out} is not a directory")
     return cfg, given
 
 
@@ -245,21 +251,24 @@ def _meta(cfg: dict) -> str:
     return f"# pbitsim {__version__} seed={cfg.get('seed')} config_sha256={_config_hash(cfg)}"
 
 
-def _out_dir(cfg: dict) -> Path:
+def _write_files(cfg: dict, files: dict) -> None:
+    """Make out_dir and write a command's files in order, each but an SVG after _meta.
+
+    A dict body is written as JSON, a str as is, and a callable as body(file).
+    """
     out = Path(cfg["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _write(path: Path, meta: str, write) -> None:
-    """Write the metadata line, then the rest of the file with write(file)."""
-    with open(path, "w", newline="") as f:
-        f.write(meta + "\n")
-        write(f)
-
-
-def _write_json(path: Path, meta: str, obj: dict) -> None:
-    _write(path, meta, lambda f: f.write(json.dumps(obj, sort_keys=True, indent=2) + "\n"))
+    meta = _meta(cfg)
+    for name, body in files.items():
+        with open(out / name, "w", newline="") as f:
+            if not name.endswith(".svg"):
+                f.write(meta + "\n")
+            if isinstance(body, dict):
+                f.write(json.dumps(body, sort_keys=True, indent=2) + "\n")
+            elif isinstance(body, str):
+                f.write(body)
+            else:
+                body(f)
 
 
 def _require(cond: bool, message: str) -> None:
@@ -291,7 +300,7 @@ def _smtj_from_cfg(cfg: dict) -> SmtjParams:
 # ---------------------------------------------------------------- smtj-trace
 
 
-def cmd_smtj_trace(cfg: dict, given: set) -> None:
+def cmd_smtj_trace(cfg: dict, given: set) -> dict:
     smtj = _smtj_from_cfg(cfg)
     analyze_only = cfg["input_trace"] is not None
     if analyze_only:
@@ -301,8 +310,6 @@ def cmd_smtj_trace(cfg: dict, given: set) -> None:
         _require(cfg["duration_s"] > 0, "duration_s must be > 0")
         _require(cfg["dt_s"] > 0, "dt_s must be > 0")
         _require(cfg["duration_s"] >= cfg["dt_s"], "duration_s must cover one sample")
-    out = _out_dir(cfg)
-    meta = _meta(cfg)
 
     if analyze_only:
         # a voltage export's sidecar overrides the default bias current, not
@@ -324,40 +331,35 @@ def cmd_smtj_trace(cfg: dict, given: set) -> None:
     acf = autocorrelation(labeled, max_lag)
     dwell = fit_dwell_time(acf, dt, occupancy)
 
-    _write(out / "trace.csv", meta, labeled.to_csv)
+    files = {"trace.csv": labeled.to_csv}
     if cfg["svg"]:
         stride = max(1, len(labeled) // 4000)
-        (out / "trace.svg").write_text(
-            line_svg(
-                labeled.times[::stride],
-                labeled.values[::stride],
-                "sMTJ resistance trace",
-                "time (s)",
-                "resistance (ohm)",
-            )
+        files["trace.svg"] = line_svg(
+            labeled.times[::stride],
+            labeled.values[::stride],
+            "sMTJ resistance trace",
+            "time (s)",
+            "resistance (ohm)",
         )
-    _write_json(
-        out / "analysis.json",
-        meta,
-        {
-            "n_samples": len(labeled),
-            "r_low_ohm": levels.r_low,
-            "r_high_ohm": levels.r_high,
-            "threshold_ohm": levels.threshold,
-            "tmr": tmr_from_levels(levels),
-            "occupancy_ap": occupancy,
-            "dwell_acf_s": dwell.tau,
-            "tau_corr_s": dwell.tau_corr,
-            "acf_fit_rmse": dwell.fit_rmse,
-            "dwell_direct_s": dwell_direct,
-        },
-    )
+    files["analysis.json"] = {
+        "n_samples": len(labeled),
+        "r_low_ohm": levels.r_low,
+        "r_high_ohm": levels.r_high,
+        "threshold_ohm": levels.threshold,
+        "tmr": tmr_from_levels(levels),
+        "occupancy_ap": occupancy,
+        "dwell_acf_s": dwell.tau,
+        "tau_corr_s": dwell.tau_corr,
+        "acf_fit_rmse": dwell.fit_rmse,
+        "dwell_direct_s": dwell_direct,
+    }
+    return files
 
 
 # --------------------------------------------------------------- field-sweep
 
 
-def cmd_field_sweep(cfg: dict, given: set) -> None:
+def cmd_field_sweep(cfg: dict, given: set) -> dict:
     smtj = _smtj_from_cfg(cfg)
     _require(cfg["b_step_T"] > 0, "b_step_T must be > 0")
     _require(cfg["b_max_T"] > cfg["b_min_T"], "b_max_T must exceed b_min_T")
@@ -367,8 +369,6 @@ def cmd_field_sweep(cfg: dict, given: set) -> None:
     _require(cfg["jobs"] >= 1, "jobs must be >= 1")
     count = _grid_count(cfg["b_min_T"], cfg["b_max_T"], cfg["b_step_T"], "field")
     _require(count >= 2, "sweep needs at least two field points")
-    out = _out_dir(cfg)
-    meta = _meta(cfg)
 
     grid = cfg["b_min_T"] + cfg["b_step_T"] * np.arange(count)
     points = simulate_field_sweep(
@@ -379,29 +379,24 @@ def cmd_field_sweep(cfg: dict, given: set) -> None:
     window = extract_stochastic_window(FieldSweep(points), levels)
 
     rows = "".join(f"{b:.12g},{r:.12g}\n" for b, r in points)
-    _write(out / "sweep.csv", meta, lambda f: f.write("b_T,mean_resistance_ohm\n" + rows))
+    files = {"sweep.csv": "b_T,mean_resistance_ohm\n" + rows}
     if cfg["svg"]:
-        (out / "sweep.svg").write_text(
-            line_svg(
-                [b for b, _ in points],
-                [r for _, r in points],
-                "field sweep",
-                "B (T)",
-                "mean resistance (ohm)",
-            )
+        files["sweep.svg"] = line_svg(
+            [b for b, _ in points],
+            [r for _, r in points],
+            "field sweep",
+            "B (T)",
+            "mean resistance (ohm)",
         )
-    _write_json(
-        out / "window.json",
-        meta,
-        {
-            "b_low_T": window.b_low,
-            "b_high_T": window.b_high,
-            "b_5050_T": window.b_5050,
-            "width_T": window.width,
-            "r_low_ohm": levels.r_low,
-            "r_high_ohm": levels.r_high,
-        },
-    )
+    files["window.json"] = {
+        "b_low_T": window.b_low,
+        "b_high_T": window.b_high,
+        "b_5050_T": window.b_5050,
+        "width_T": window.width,
+        "r_low_ohm": levels.r_low,
+        "r_high_ohm": levels.r_high,
+    }
+    return files
 
 
 # ------------------------------------------------------------------ transfer
@@ -440,14 +435,12 @@ def _transfer_grid(cfg: dict) -> list:
     return grid
 
 
-def cmd_transfer(cfg: dict, given: set) -> None:
+def cmd_transfer(cfg: dict, given: set) -> dict:
     p = _pbit_from_cfg(cfg)
     grid = _transfer_grid(cfg)
     _require(cfg["n_per_point"] >= 1, "n_per_point must be >= 1")
     _require(cfg["sample_interval_s"] > 0, "sample_interval_s must be > 0")
     _require(cfg["jobs"] >= 1, "jobs must be >= 1")
-    out = _out_dir(cfg)
-    meta = _meta(cfg)
 
     b = cfg["b_field_T"] if cfg["b_field_T"] is not None else p.smtj.b_5050
     curve = transfer_curve(
@@ -463,26 +456,20 @@ def cmd_transfer(cfg: dict, given: set) -> None:
     else:
         center = width = None
 
-    _write(out / "samples.csv", meta, curve.to_samples_csv)
-    _write(out / "curve.csv", meta, curve.to_summary_csv)
+    files = {"samples.csv": curve.to_samples_csv, "curve.csv": curve.to_summary_csv}
     if cfg["svg"] and len(grid) >= 2:
-        (out / "curve.svg").write_text(
-            line_svg(
-                curve.v_in, curve.means,
-                "P-Bit transfer curve", "v_in (V)", "mean v_out (V)",
-            )
+        files["curve.svg"] = line_svg(
+            curve.v_in, curve.means,
+            "P-Bit transfer curve", "v_in (V)", "mean v_out (V)",
         )
-    _write_json(
-        out / "sigmoid.json",
-        meta,
-        {
-            "center_V": center,
-            "width_V": width,
-            "mixed_span_V": mixed_region_span(curve, p.v_dd),
-            "v_dd_V": p.v_dd,
-            "nmos_k_factor_A_per_V2": p.nmos.k_factor,
-        },
-    )
+    files["sigmoid.json"] = {
+        "center_V": center,
+        "width_V": width,
+        "mixed_span_V": mixed_region_span(curve, p.v_dd),
+        "v_dd_V": p.v_dd,
+        "nmos_k_factor_A_per_V2": p.nmos.k_factor,
+    }
+    return files
 
 
 # ---------------------------------------------------------------------- gate
@@ -505,17 +492,15 @@ def _default_empirical_activation(seed: int) -> EmpiricalActivation:
         n_per_point=2000,
         sample_interval=0.1,
         b=p.smtj.b_5050,
-        seed=np.random.SeedSequence((seed, _ACTIVATION_STREAM)),
+        seed=_point_seed(seed, _ACTIVATION_STREAM),
     )
     return EmpiricalActivation.from_transfer_curve(curve, p.v_dd)
 
 
-def cmd_gate(cfg: dict, given: set) -> None:
+def cmd_gate(cfg: dict, given: set) -> dict:
     _require(cfg["i0"] > 0, "i0 must be > 0")
     _require(cfg["sweeps"] >= 1, "sweeps must be >= 1")
     _require(cfg["burn_in"] >= 0, "burn_in must be >= 0")
-    out = _out_dir(cfg)
-    meta = _meta(cfg)
 
     if cfg["all_modes"]:
         modes = [("and", 0), ("and", 1), ("or", 0), ("or", 1)]
@@ -527,53 +512,48 @@ def cmd_gate(cfg: dict, given: set) -> None:
     else:
         act = _default_empirical_activation(cfg["seed"])
 
+    files = {}
     for mode_index, (gate, clamp_c) in enumerate(modes):
         circuit = and_gate(cfg["i0"]) if gate == "and" else or_gate(cfg["i0"])
         if clamp_c is not None:
             circuit = clamp(circuit, GATE_OUTPUT_NODE, clamp_c)
-        run_seed = np.random.SeedSequence((cfg["seed"], mode_index))
+        run_seed = _point_seed(cfg["seed"], mode_index)
         hist = gibbs_run(circuit, act, cfg["sweeps"], cfg["burn_in"], run_seed)
         exact = boltzmann_exact(circuit)
         l1 = compare_to_oracle(hist, exact)
 
         prefix = f"{gate}_{'free' if clamp_c is None else f'c{clamp_c}'}"
-        _write(out / f"{prefix}_histogram.csv", meta, hist.to_csv)
+        files[f"{prefix}_histogram.csv"] = hist.to_csv
         if cfg["svg"]:
             words = [format(i, f"0{hist.n}b") for i in range(2**hist.n)]
             freqs = hist.frequencies()
-            (out / f"{prefix}_histogram.svg").write_text(
-                bar_svg(
-                    words,
-                    [freqs.get(w, 0.0) for w in words],
-                    f"{gate.upper()} gate, {'free' if clamp_c is None else f'C={clamp_c}'}",
-                    "word (ABC)",
-                    "frequency",
-                )
+            files[f"{prefix}_histogram.svg"] = bar_svg(
+                words,
+                [freqs.get(w, 0.0) for w in words],
+                f"{gate.upper()} gate, {'free' if clamp_c is None else f'C={clamp_c}'}",
+                "word (ABC)",
+                "frequency",
             )
         rows = "".join(f"{word},{exact[word]:.12g}\n" for word in sorted(exact))
-        _write(out / f"{prefix}_oracle.csv", meta, lambda f: f.write("word,probability\n" + rows))
-        _write_json(
-            out / f"{prefix}_summary.json",
-            meta,
-            {
-                "gate": gate,
-                "clamp_c": clamp_c,
-                "i0": cfg["i0"],
-                "sweeps": cfg["sweeps"],
-                "burn_in": cfg["burn_in"],
-                "activation": cfg["activation"],
-                "l1_distance": l1,
-                "modal_word": hist.modal_word(),
-            },
-        )
+        files[f"{prefix}_oracle.csv"] = "word,probability\n" + rows
+        files[f"{prefix}_summary.json"] = {
+            "gate": gate,
+            "clamp_c": clamp_c,
+            "i0": cfg["i0"],
+            "sweeps": cfg["sweeps"],
+            "burn_in": cfg["burn_in"],
+            "activation": cfg["activation"],
+            "l1_distance": l1,
+            "modal_word": hist.modal_word(),
+        }
+    return files
 
 
 # ------------------------------------------------------------------- metrics
 
 
-def cmd_metrics(cfg: dict, given: set) -> None:
-    out = _out_dir(cfg)
-    _write(out / "perf_points.csv", _meta(cfg), lambda f: write_perf_csv(comparison_table(), f))
+def cmd_metrics(cfg: dict, given: set) -> dict:
+    return {"perf_points.csv": partial(write_perf_csv, comparison_table())}
 
 
 # -------------------------------------------------------------------- driver
@@ -628,11 +608,12 @@ def main(argv=None) -> int:
     defaults, runner, _ = _COMMANDS[args.pop("command")]
     config_path = args.pop("config")
     try:
-        runner(*_resolve(defaults, config_path, args))
+        cfg, given = _resolve(defaults, config_path, args)
+        _write_files(cfg, runner(cfg, given))
     except ConfigError as exc:
         print(f"pbitsim: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (AnalysisError, PCircuitError, ValueError, MemoryError) as exc:
+    except (AnalysisError, PCircuitError, ValueError, MemoryError, OSError) as exc:
         print(f"pbitsim: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     return EXIT_OK

@@ -138,6 +138,28 @@ class TestAutocorrelation:
         fft = _acf_fft(tr.values, 80)
         assert np.allclose(fast, fft, atol=1e-9)
 
+    @pytest.mark.parametrize(
+        "values,path",
+        [
+            ([2.0, 2.0, 1.0, 1.0, 1.0, 2.0, 1.0, 2.0], "two_level"),  # starts high
+            ([1.0, 1.0, 2.0, 1.0, 2.0, 2.0, 2.0, 1.0], "two_level"),  # starts low
+            ([1.0, 2.0, 3.0, 1.0, 2.0, 1.0, 2.0, 1.0], "fft"),
+            ([1.0, 2.0, np.nan, 1.0, 2.0, 1.0, 2.0, 1.0], "fft"),
+        ],
+    )
+    def test_dispatch(self, monkeypatch, values, path):
+        import pbitsim.analysis as analysis
+
+        ran = []
+        for name, kind in (("_acf_two_level", "two_level"), ("_acf_fft", "fft")):
+            def record(*args, _fn=getattr(analysis, name), _kind=kind):
+                ran.append(_kind)
+                return _fn(*args)
+
+            monkeypatch.setattr(analysis, name, record)
+        autocorrelation(TelegraphTrace(1e-5, np.tile(values, 10)), 4)
+        assert ran == [path]
+
     @given(data=st.lists(st.sampled_from([10.0, 20.0]), min_size=30, max_size=200))
     def test_bounded_by_one(self, data):
         vals = np.asarray(data)

@@ -261,9 +261,47 @@ def test_oversized_request_exits_3(tmp_path, monkeypatch, capsys, command, runne
         raise MemoryError("Unable to allocate 2.17 TiB for an array")
 
     monkeypatch.setattr(cli, runner, oversized)
-    assert run(command, "--out-dir", tmp_path / "out") == 3
+    out = tmp_path / "out"
+    assert run(command, "--out-dir", out) == 3
     err = capsys.readouterr().err
     assert err == "pbitsim: MemoryError: Unable to allocate 2.17 TiB for an array\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv,error",
+    [
+        (["smtj-trace", "--duration-s", 0.1], "TooFewTransitions"),
+        (["smtj-trace", "--b-field-T", -5e-3, "--duration-s", 1], "UnimodalTrace"),
+        (["field-sweep", "--b-min-T", -6e-3, "--b-max-T", -5e-3], "NoWindow"),
+    ],
+)
+def test_runtime_failure_leaves_no_out_dir(tmp_path, capsys, argv, error):
+    out = tmp_path / "out"
+    assert run(*argv, "--out-dir", out) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"pbitsim: {error}: ")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_out_dir_that_is_a_file_exits_2(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_bytes(b"not a directory\n")
+    assert run("metrics", "--out-dir", taken) == 2
+    err = capsys.readouterr().err
+    assert err == f"pbitsim: config error: out_dir {taken} is not a directory\n"
+    assert taken.read_bytes() == b"not a directory\n"
+
+
+def test_out_dir_under_a_file_exits_3(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_bytes(b"not a directory\n")
+    assert run("metrics", "--out-dir", taken / "sub") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("pbitsim: NotADirectoryError: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert taken.read_bytes() == b"not a directory\n"
 
 
 class TestSmtjTrace:
@@ -556,15 +594,26 @@ class TestGate:
         assert abs(freq["111"] - exact["111"]) < 0.02
 
     def test_all_modes_writes_four_runs(self, tmp_path):
+        out = tmp_path / "all"
         assert run(
-            "gate", "--out-dir", tmp_path, "--seed", 7,
+            "gate", "--out-dir", out, "--seed", 7,
             "--all-modes", "--sweeps", 20_000,
         ) == 0
-        names = {f.name for f in tmp_path.iterdir()}
-        for prefix in ("and_c0", "and_c1", "or_c0", "or_c1"):
+        names = {f.name for f in out.iterdir()}
+        for gate, clamp_c in (("and", 0), ("and", 1), ("or", 0), ("or", 1)):
+            prefix = f"{gate}_c{clamp_c}"
             assert f"{prefix}_histogram.csv" in names
             assert f"{prefix}_oracle.csv" in names
             assert f"{prefix}_summary.json" in names
+            # each mode's oracle is its own, as a single-mode run writes it;
+            # the meta lines differ in their config hash
+            single = tmp_path / prefix
+            assert run(
+                "gate", "--out-dir", single, "--seed", 7,
+                "--gate", gate, "--clamp-c", clamp_c, "--sweeps", 20_000,
+            ) == 0
+            oracle = f"{prefix}_oracle.csv"
+            assert read_csv(out / oracle) == read_csv(single / oracle)
 
     def test_empirical_activation_mode(self, tmp_path):
         assert run(
