@@ -273,10 +273,12 @@ def _acf_two_level(z: np.ndarray, max_lag: int) -> np.ndarray:
     for k in range(1, max_lag):
         corr[k + 1] = 2.0 * corr[k] - corr[k - 1] - spikes[k]
 
-    cum_ones = np.concatenate([[0], np.cumsum(zi, dtype=np.int64)])
+    # ones among the first and among the last k samples, 0 <= k <= max_lag
+    head = np.concatenate([[0], np.cumsum(zi[:max_lag], dtype=np.int64)])
+    tail = np.concatenate([[0], np.cumsum(zi[: n - max_lag - 1 : -1], dtype=np.int64)])
     ks = np.arange(max_lag + 1)
-    s1 = cum_ones[n - ks]               # sum of z_t over t < n-k
-    s2 = ones_total - cum_ones[ks]      # sum of z_t over t >= k
+    s1 = ones_total - tail              # sum of z_t over t < n-k
+    s2 = ones_total - head              # sum of z_t over t >= k
     return (corr - zbar * (s1 + s2) + (n - ks) * zbar * zbar) / denom
 
 
@@ -515,18 +517,15 @@ def _trace_header(file) -> tuple[int, list[str]]:
     raise TraceFormatError("trace file holds no data")
 
 
-def _read_rows(
-    path: Path, skiprows: int, labeled: bool
-) -> tuple[float, np.ndarray, np.ndarray | None]:
-    """Parse the data rows of a trace CSV: (sample_interval, values, labels).
+def _read_rows(path: Path, skiprows: int) -> tuple[float, np.ndarray]:
+    """Parse the data rows of a trace CSV: (sample_interval, values).
 
     skiprows lines precede the first data row.  The first two columns are
-    time and sample; when labeled the third is the state, AP exactly for the
-    anti-parallel state and anything else for parallel.  Further columns are
-    ignored.  '#' comments and empty lines are skipped.  The time column must
-    be a uniform grid and every sample finite.
+    time and sample; further columns, a native trace's state included, are
+    not read.  '#' comments and empty lines are skipped.  The time column
+    must be a uniform grid and every sample finite.
     """
-    fields = [("t", float), ("x", float)] + ([("s", "U3")] if labeled else [])
+    fields = [("t", float), ("x", float)]
     try:
         with warnings.catch_warnings():
             # a file without data rows is reported below, not as a warning
@@ -552,8 +551,7 @@ def _read_rows(
     if not np.all(np.isfinite(values)):
         bad = int(np.flatnonzero(~np.isfinite(values))[0])
         raise TraceFormatError(f"sample {bad} is not finite: {values[bad]}")
-    labels = (rows["s"] == "AP").astype(np.uint8) if labeled else None
-    return dt, values, labels
+    return dt, values
 
 
 def load_trace(
@@ -576,7 +574,7 @@ def load_trace(
     with open(path) as f:
         index, cols = _trace_header(f)
     if cols[:2] == ["time_s", "resistance_ohm"]:
-        dt, values, labels = _read_rows(path, index + 1, labeled=len(cols) > 2)
+        dt, values = _read_rows(path, index + 1)
     elif cols[:2] == ["time_s", "voltage_V"]:
         if bias_current is None:
             sidecar = bias_sidecar(path)
@@ -587,10 +585,10 @@ def load_trace(
             bias_current = _sidecar_bias_current(sidecar)
         if not bias_current > 0:
             raise ValueError(f"bias current must be > 0 A, got {bias_current:g}")
-        dt, volts, labels = _read_rows(path, index + 1, labeled=False)
+        dt, volts = _read_rows(path, index + 1)
         values = volts / bias_current
     else:
         raise TraceFormatError(f"unrecognized trace header: {','.join(cols)!r}")
     if offset_ohm:
         values = values - offset_ohm
-    return TelegraphTrace(sample_interval=dt, values=values, labels=labels)
+    return TelegraphTrace(sample_interval=dt, values=values)

@@ -175,6 +175,15 @@ FLAGS = {
     "activation": {"choices": ["ideal", "empirical"]},
 }
 
+# Each key's own range, checked for every key a command takes, whichever of
+# its modes uses it.  Rules that join two keys stay with their runner.
+_POSITIVE = {
+    "duration_s", "dt_s", "point_duration_s", "b_step_T", "v_step_V",
+    "sample_interval_s", "i0", "bias_current_A",
+}
+# numpy seeds take non-negative integers only
+_AT_LEAST = {"seed": 0, "burn_in": 0, "jobs": 1, "n_per_point": 1, "sweeps": 1}
+
 
 def _kind(key: str, default) -> type:
     """What a key's value must be: its FLAGS type, else its default's type."""
@@ -184,9 +193,9 @@ def _kind(key: str, default) -> type:
 def _resolve(defaults: dict, config_path, overrides: dict) -> tuple[dict, set]:
     """Defaults < config file < flags, and the set of keys the file or a flag gave.
 
-    Each value must be of its key's kind and among its FLAGS choices; where
-    the default is None, null passes too.  An out_dir that exists must be a
-    directory.
+    Each value must be of its key's kind, among its FLAGS choices and inside
+    its _POSITIVE or _AT_LEAST bound; where the default is None, null passes
+    too.  An out_dir that exists must be a directory.
     """
     cfg = dict(defaults)
     given = set()
@@ -216,8 +225,10 @@ def _resolve(defaults: dict, config_path, overrides: dict) -> tuple[dict, set]:
         choices = FLAGS.get(key, {}).get("choices")
         if choices is not None and value not in choices:
             raise ConfigError(f"{key} must be one of {choices}, got {value!r}")
-    # numpy seeds take non-negative integers only
-    _require(cfg["seed"] >= 0, f"seed must be >= 0, got {cfg['seed']}")
+        if key in _POSITIVE and not value > 0:
+            raise ConfigError(f"{key} must be > 0, got {value!r}")
+        if key in _AT_LEAST and not value >= _AT_LEAST[key]:
+            raise ConfigError(f"{key} must be >= {_AT_LEAST[key]}, got {value!r}")
     out = Path(cfg["out_dir"])
     _require(out.is_dir() or not out.exists(), f"out_dir {out} is not a directory")
     return cfg, given
@@ -302,16 +313,8 @@ def _smtj_from_cfg(cfg: dict) -> SmtjParams:
 
 def cmd_smtj_trace(cfg: dict, given: set) -> dict:
     smtj = _smtj_from_cfg(cfg)
-    analyze_only = cfg["input_trace"] is not None
-    if analyze_only:
+    if cfg["input_trace"] is not None:
         _require(Path(cfg["input_trace"]).is_file(), f"no such trace: {cfg['input_trace']}")
-        _require(cfg["bias_current_A"] > 0, "bias_current_A must be > 0")
-    else:
-        _require(cfg["duration_s"] > 0, "duration_s must be > 0")
-        _require(cfg["dt_s"] > 0, "dt_s must be > 0")
-        _require(cfg["duration_s"] >= cfg["dt_s"], "duration_s must cover one sample")
-
-    if analyze_only:
         # a voltage export's sidecar overrides the default bias current, not
         # one given as a flag or in the config file
         bias = cfg["bias_current_A"]
@@ -319,6 +322,7 @@ def cmd_smtj_trace(cfg: dict, given: set) -> dict:
             bias = None
         trace = load_trace(cfg["input_trace"], bias_current=bias, offset_ohm=cfg["offset_ohm"])
     else:
+        _require(cfg["duration_s"] >= cfg["dt_s"], "duration_s must cover one sample")
         b = cfg["b_field_T"] if cfg["b_field_T"] is not None else smtj.b_5050
         trace = sample_trajectory(smtj, b, cfg["duration_s"], cfg["dt_s"], cfg["seed"])
 
@@ -361,12 +365,8 @@ def cmd_smtj_trace(cfg: dict, given: set) -> dict:
 
 def cmd_field_sweep(cfg: dict, given: set) -> dict:
     smtj = _smtj_from_cfg(cfg)
-    _require(cfg["b_step_T"] > 0, "b_step_T must be > 0")
     _require(cfg["b_max_T"] > cfg["b_min_T"], "b_max_T must exceed b_min_T")
-    _require(cfg["point_duration_s"] > 0, "point_duration_s must be > 0")
-    _require(cfg["dt_s"] > 0, "dt_s must be > 0")
     _require(cfg["point_duration_s"] >= cfg["dt_s"], "point_duration_s must cover one sample")
-    _require(cfg["jobs"] >= 1, "jobs must be >= 1")
     count = _grid_count(cfg["b_min_T"], cfg["b_max_T"], cfg["b_step_T"], "field")
     _require(count >= 2, "sweep needs at least two field points")
 
@@ -426,7 +426,6 @@ def _transfer_grid(cfg: dict) -> list:
     if cfg["v_inputs_V"] is not None:
         grid = [float(v) for v in cfg["v_inputs_V"]]
     else:
-        _require(cfg["v_step_V"] > 0, "v_step_V must be > 0")
         count = _grid_count(cfg["v_start_V"], cfg["v_stop_V"], cfg["v_step_V"], "input")
         grid = [cfg["v_start_V"] + k * cfg["v_step_V"] for k in range(max(count, 0))]
     _require(len(grid) >= 1, "input grid is empty")
@@ -438,10 +437,6 @@ def _transfer_grid(cfg: dict) -> list:
 def cmd_transfer(cfg: dict, given: set) -> dict:
     p = _pbit_from_cfg(cfg)
     grid = _transfer_grid(cfg)
-    _require(cfg["n_per_point"] >= 1, "n_per_point must be >= 1")
-    _require(cfg["sample_interval_s"] > 0, "sample_interval_s must be > 0")
-    _require(cfg["jobs"] >= 1, "jobs must be >= 1")
-
     b = cfg["b_field_T"] if cfg["b_field_T"] is not None else p.smtj.b_5050
     curve = transfer_curve(
         p, grid, cfg["n_per_point"], cfg["sample_interval_s"], b, cfg["seed"],
@@ -498,10 +493,6 @@ def _default_empirical_activation(seed: int) -> EmpiricalActivation:
 
 
 def cmd_gate(cfg: dict, given: set) -> dict:
-    _require(cfg["i0"] > 0, "i0 must be > 0")
-    _require(cfg["sweeps"] >= 1, "sweeps must be >= 1")
-    _require(cfg["burn_in"] >= 0, "burn_in must be >= 0")
-
     if cfg["all_modes"]:
         modes = [("and", 0), ("and", 1), ("or", 0), ("or", 1)]
     else:

@@ -247,13 +247,17 @@ def fit_sigmoid(v_in, means, v_dd: float) -> tuple[float, float]:
     return float(center), float(width)
 
 
-def mixed_region_span(
-    curve: TransferCurve, v_dd: float, lo_frac: float = 0.2, hi_frac: float = 0.8
-) -> float:
+# Mean outputs, as fractions of v_dd, at or beyond which the output counts as
+# saturated low or high.
+_MIXED_LO = 0.2
+_MIXED_HI = 0.8
+
+
+def mixed_region_span(curve: TransferCurve, v_dd: float) -> float:
     """Input span over which the mean output is neither low- nor high-saturated."""
     v = curve.v_in
     m = curve.means
-    mixed = v[(m > lo_frac * v_dd) & (m < hi_frac * v_dd)]
+    mixed = v[(m > _MIXED_LO * v_dd) & (m < _MIXED_HI * v_dd)]
     if mixed.size < 2:
         return 0.0
     return float(mixed.max() - mixed.min())

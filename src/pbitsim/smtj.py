@@ -124,10 +124,6 @@ class TelegraphTrace:
         return self.values.size
 
     @property
-    def duration(self) -> float:
-        return self.values.size * self.sample_interval
-
-    @property
     def times(self) -> np.ndarray:
         return np.arange(self.values.size) * self.sample_interval
 

@@ -138,6 +138,25 @@ class TestAutocorrelation:
         fft = _acf_fft(tr.values, 80)
         assert np.allclose(fast, fft, atol=1e-9)
 
+    @pytest.mark.parametrize("n,max_lag", [(8, 1), (40, 9), (1000, 249), (5000, 37)])
+    def test_two_level_edge_sums_match_full_cumsum(self, n, max_lag):
+        # the normalisation from a full-length cumulative sum, over the exact
+        # integer correlation, which the two-level recurrence reproduces
+        rng = np.random.default_rng(n + max_lag)
+        for _ in range(20):
+            z = rng.random(n) < rng.uniform(0.05, 0.95)
+            zi = z.astype(np.int64)
+            ones = int(zi.sum())
+            if ones in (0, n):
+                continue
+            zbar = ones / n
+            ks = np.arange(max_lag + 1)
+            corr = np.array([zi[: n - k] @ zi[k:] for k in ks], dtype=float)
+            cum = np.concatenate([[0], np.cumsum(zi)])
+            s1, s2 = cum[n - ks], ones - cum[ks]
+            old = (corr - zbar * (s1 + s2) + (n - ks) * zbar * zbar) / (ones - n * zbar * zbar)
+            assert np.array_equal(_acf_two_level(z, max_lag), old)
+
     @pytest.mark.parametrize(
         "values,path",
         [
@@ -386,11 +405,23 @@ class TestLoadTrace:
             tr.to_csv(f)
         back = load_trace(path)
         assert np.array_equal(back.values, tr.values)
-        assert np.array_equal(back.labels, tr.labels)
+        assert back.labels is None
+
+    def test_native_state_column_not_read(self, tmp_path):
+        # empty, wrong, extra and (last row) missing state cells
+        header, rows = TRACE_FORMATS["native"]
+        garbage = [",", ",nan", ",AP,x", ",P;P", ",\u00e9t\u00e9", ""]
+        path = tmp_path / "trace.csv"
+        write_lines(path, [header] + [row.rsplit(",", 1)[0] + junk
+                                      for row, junk in zip(rows, garbage)])
+        dt, values = expected_trace("native")
+        back = load_trace(path)
+        assert back.sample_interval == dt
+        assert np.array_equal(back.values, values)
 
 
-# Small files in both formats; the reader must return the same samples,
-# labels and dt for each of them whatever the layout changes below.
+# Small files in both formats; the reader must return the same samples and
+# dt for each of them whatever the layout changes below.
 BIAS = 1e-5
 TRACE_FORMATS = {
     "native": (
@@ -413,14 +444,13 @@ LAYOUTS = {
 
 
 def expected_trace(fmt):
-    """dt, samples and labels by the per-line rules: float() of each cell,
-    V / I for voltage exports, state AP exactly for the anti-parallel label."""
+    """dt and samples by the per-line rules: float() of each cell, V / I for
+    voltage exports."""
     _, rows = TRACE_FORMATS[fmt]
     cells = [row.split(",") for row in rows]
     scale = BIAS if fmt == "voltage" else 1.0
     values = np.array([float(c[1]) for c in cells]) / scale
-    labels = np.array([c[2] == "AP" for c in cells], dtype=np.uint8) if fmt == "native" else None
-    return float(cells[1][0]) - float(cells[0][0]), values, labels
+    return float(cells[1][0]) - float(cells[0][0]), values
 
 
 def write_lines(path, lines, eol="\n"):
@@ -435,13 +465,10 @@ class TestLoadTraceParity:
         header, rows = TRACE_FORMATS[fmt]
         path = tmp_path / "trace.csv"
         write_lines(path, LAYOUTS[layout]([header] + rows), "\r\n" if layout == "crlf" else "\n")
-        dt, values, labels = expected_trace(fmt)
+        dt, values = expected_trace(fmt)
         back = load_trace(path, bias_current=BIAS)
         assert back.sample_interval == dt
         assert np.array_equal(back.values, values)
-        assert (back.labels is None) == (labels is None)
-        if labels is not None:
-            assert np.array_equal(back.labels, labels)
 
     @pytest.mark.parametrize("fmt", sorted(TRACE_FORMATS))
     def test_repeated_header_rejected(self, tmp_path, fmt):

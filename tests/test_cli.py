@@ -1,12 +1,18 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 import pbitsim
 from pbitsim.analysis import load_trace, threshold_states
@@ -171,6 +177,117 @@ def test_bad_config_value_exits_2(tmp_path, capsys, command, config, flags):
     assert "config error" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+# Each bounded key and a value just outside its bound: the bound itself for a
+# key that must be > 0, one below it for a key that must be >= it.
+OUT_OF_RANGE = {
+    "duration_s": 0, "dt_s": 0, "point_duration_s": 0, "b_step_T": 0, "v_step_V": 0,
+    "sample_interval_s": 0, "i0": 0, "bias_current_A": 0,
+    "seed": -1, "burn_in": -1, "jobs": 0, "n_per_point": 0, "sweeps": 0,
+}
+
+
+def test_every_bound_has_its_case():
+    assert set(OUT_OF_RANGE) == cli._POSITIVE | set(cli._AT_LEAST)
+
+
+def _exits_2_naming(tmp_path, capsys, key, argv):
+    out = tmp_path / "out"
+    assert run(*argv, "--out-dir", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"pbitsim: config error: {key} must be ")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize(
+    "command,key",
+    [(command, key) for command, (defaults, *_) in cli._COMMANDS.items()
+     for key in defaults if key in OUT_OF_RANGE],
+)
+def test_out_of_range_value_exits_2(tmp_path, capsys, command, key, source):
+    value = OUT_OF_RANGE[key]
+    if source == "flag":
+        args = ["--" + key.replace("_", "-"), value]
+    else:
+        (tmp_path / "cfg.json").write_text(json.dumps({key: value}))
+        args = ["--config", tmp_path / "cfg.json"]
+    _exits_2_naming(tmp_path, capsys, key, [command, *args])
+
+
+@pytest.fixture
+def native_trace(tmp_path):
+    """A short native trace.csv that smtj-trace --input-trace analyzes."""
+    fast = SmtjParams(tau_mean=68.9e-6)
+    path = tmp_path / "trace.csv"
+    with open(path, "w", newline="") as f:
+        sample_trajectory(fast, fast.b_5050, 0.2, 2e-6, seed=35).to_csv(f)
+    return path
+
+
+# A value outside the bound of a key that only the command's other mode uses
+# is rejected all the same; None stands for the native trace.
+@pytest.mark.parametrize(
+    "key,argv",
+    [
+        ("duration_s", ["smtj-trace", "--input-trace", None, "--dt-s", 0, "--duration-s", -1]),
+        ("bias_current_A", ["smtj-trace", "--bias-current-A", 0, "--duration-s", 2]),
+        ("v_step_V", ["transfer", "--v-inputs", "0.6,0.61", "--v-step-V", 0]),
+    ],
+    ids=["trace-analysis-grid", "trace-simulation-bias", "transfer-input-list-step"],
+)
+def test_bound_holds_in_either_mode(tmp_path, capsys, native_trace, key, argv):
+    argv = [native_trace if a is None else a for a in argv]
+    _exits_2_naming(tmp_path, capsys, key, argv)
+
+
+def _wrong_kind(kind):
+    """JSON values that are not of kind; NaN and infinities for numbers too."""
+    numbers = st.one_of(st.integers(), st.floats(allow_nan=False, allow_infinity=False))
+    texts = st.text(max_size=8)
+    lists = st.lists(st.one_of(texts, st.booleans(), st.none()), min_size=1, max_size=3)
+    objects = st.dictionaries(texts, st.integers(), max_size=2)
+    non_finite = st.sampled_from([float("nan"), float("inf"), -float("inf")])
+    return {
+        float: st.one_of(texts, st.booleans(), lists, objects, non_finite),
+        int: st.one_of(st.floats(), texts, st.booleans(), lists, objects),
+        str: st.one_of(numbers, st.booleans(), lists, objects),
+        bool: st.one_of(numbers, texts, lists, objects),
+        cli._float_list: st.one_of(numbers, texts, st.booleans(), objects, lists),
+    }[kind]
+
+
+@st.composite
+def _bad_config(draw):
+    command = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    defaults = cli._COMMANDS[command][0]
+    key = draw(st.sampled_from(sorted(defaults)))
+    kinds = _wrong_kind(cli._kind(key, defaults[key]))
+    value = draw(kinds if defaults[key] is None else st.one_of(kinds, st.none()))
+    return command, key, value
+
+
+@settings(max_examples=150, deadline=None, phases=[Phase.generate])
+@given(_bad_config())
+def test_wrong_kind_config_value_exits_2(case):
+    command, key, value = case
+
+    def unreachable(cfg, given):
+        raise AssertionError("a runner was reached")
+
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.dict(cli._COMMANDS, {c: (d, unreachable, s)
+                                            for c, (d, _, s) in cli._COMMANDS.items()}), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        # out_dir in the file, where a flag would not override the drawn key
+        out = Path(tmp) / "out"
+        config = Path(tmp) / "cfg.json"
+        config.write_text(json.dumps({"out_dir": str(out), key: value}))
+        assert main([command, "--config", str(config)]) == 2
+        assert err.getvalue().startswith(f"pbitsim: config error: {key} must be ")
+        assert not out.exists()
 
 
 # Flags spelled other than "--" + the key with "_" as "-".
