@@ -180,7 +180,7 @@ def autocorrelation(trace: TelegraphTrace, max_lag: int) -> np.ndarray:
 
     Exact two-level traces use a run-length path that is algebraically
     identical to the definition but costs O(runs) per lag; everything else
-    goes through a zero-padded FFT.
+    goes through a blocked FFT.
     """
     x = np.asarray(trace.values, dtype=float)
     n = x.size
@@ -195,20 +195,28 @@ def autocorrelation(trace: TelegraphTrace, max_lag: int) -> np.ndarray:
     if n_spikes * n_spikes * max_lag <= _SPIKE_PAIR_BUDGET * n:
         acf = _acf_two_level(z, max_lag)
     else:
-        del z  # not held through the FFT's own peak
         acf = _acf_fft(x, max_lag)
     acf[0] = 1.0
     lags = np.arange(max_lag + 1) * trace.sample_interval
     return np.column_stack([lags, acf])
 
 
+# Samples per block of _acf_fft; its memory is set by this, not by the trace.
+_ACF_BLOCK = 1 << 16
+
+
 def _acf_fft(x: np.ndarray, max_lag: int) -> np.ndarray:
-    n = x.size
-    xc = x - x.mean()
-    # any length >= n + max_lag + 1 keeps the circular correlation linear
-    m = _next_fast_len(n + max_lag + 1)
-    f = np.fft.rfft(xc, m)
-    corr = np.fft.irfft(f * f.conj(), m)[: max_lag + 1]
+    """Normalized ACF by overlap-add: each block of _ACF_BLOCK centred samples
+    is correlated against itself extended by max_lag samples, and the lag
+    products of all blocks are summed.  Only x.mean() passes over all of x."""
+    mean = x.mean()
+    # any m >= block + max_lag keeps lags 0..max_lag free of wrapped terms
+    m = _next_fast_len(_ACF_BLOCK + 2 * max_lag + 1)
+    corr = np.zeros(max_lag + 1)
+    for start in range(0, x.size, _ACF_BLOCK):
+        extended = x[start : start + _ACF_BLOCK + max_lag] - mean
+        block = np.fft.rfft(extended[:_ACF_BLOCK], m)
+        corr += np.fft.irfft(block.conj() * np.fft.rfft(extended, m), m)[: max_lag + 1]
     return corr / corr[0]
 
 
@@ -517,6 +525,10 @@ def _trace_header(file) -> tuple[int, list[str]]:
     raise TraceFormatError("trace file holds no data")
 
 
+# Rows per slice of _read_rows' checks; the only full-length array is loadtxt's.
+_READ_SLICE = 1 << 16
+
+
 def _read_rows(path: Path, skiprows: int) -> tuple[float, np.ndarray]:
     """Parse the data rows of a trace CSV: (sample_interval, values).
 
@@ -524,6 +536,10 @@ def _read_rows(path: Path, skiprows: int) -> tuple[float, np.ndarray]:
     time and sample; further columns, a native trace's state included, are
     not read.  '#' comments and empty lines are skipped.  The time column
     must be a uniform grid and every sample finite.
+
+    The rows are checked a slice at a time and their samples packed into the
+    front of loadtxt's own array, which is then shrunk in place: no second
+    array of the trace's length is made.
     """
     fields = [("t", float), ("x", float)]
     try:
@@ -536,22 +552,34 @@ def _read_rows(path: Path, skiprows: int) -> tuple[float, np.ndarray]:
             )
     except ValueError as exc:
         raise TraceFormatError(f"malformed trace row: {exc}") from exc
-    if rows.size < 2:
+    n = rows.size
+    if n < 2:
         raise TraceFormatError("trace file must hold at least two samples")
-    times = rows["t"]
-    dt = float(times[1] - times[0])
-    if not dt > 0:
-        raise TraceFormatError(f"time column must increase, first step is {dt:g} s")
-    if not np.all(np.abs(np.diff(times) - dt) <= _GRID_TOLERANCE * dt):
-        raise TraceFormatError(
-            f"time column is not a uniform grid: steps deviate from {dt:g} s by more than "
-            f"{_GRID_TOLERANCE:g} of it"
-        )
-    values = np.ascontiguousarray(rows["x"])
-    if not np.all(np.isfinite(values)):
-        bad = int(np.flatnonzero(~np.isfinite(values))[0])
-        raise TraceFormatError(f"sample {bad} is not finite: {values[bad]}")
-    return dt, values
+    flat = rows.view(float)  # t0, x0, t1, x1, ...
+    # an infinite time makes a NaN or infinite step, which fails the checks below
+    with np.errstate(invalid="ignore", over="ignore"):
+        dt = float(flat[2] - flat[0])
+        if not dt > 0:
+            raise TraceFormatError(f"time column must increase, first step is {dt:g} s")
+        bad = None
+        for start in range(0, n, _READ_SLICE):
+            stop = min(start + _READ_SLICE, n)
+            # one row past the slice, so every step is checked once
+            steps = np.diff(flat[2 * start : 2 * stop + 1 : 2])
+            if not np.all(np.abs(steps - dt) <= _GRID_TOLERANCE * dt):
+                raise TraceFormatError(
+                    f"time column is not a uniform grid: steps deviate from {dt:g} s by "
+                    f"more than {_GRID_TOLERANCE:g} of it"
+                )
+            # sample k moves from 2k + 1 to k, behind every sample still to be read
+            flat[start:stop] = flat[2 * start + 1 : 2 * stop : 2]
+            if bad is None and not np.all(np.isfinite(flat[start:stop])):
+                bad = start + int(np.flatnonzero(~np.isfinite(flat[start:stop]))[0])
+    if bad is not None:
+        raise TraceFormatError(f"sample {bad} is not finite: {flat[bad]}")
+    del flat  # resize refuses to run while a view is alive
+    rows.resize((n + 1) // 2)
+    return dt, rows.view(float)[:n]
 
 
 def load_trace(
@@ -567,15 +595,17 @@ def load_trace(
 
     Raises ValueError (TraceFormatError for the file's contents) on an
     unrecognized header, a malformed row, fewer than two samples, a time
-    column that is not a uniform grid, a non-finite sample, a sidecar without
-    a numeric bias_current_A or a bias current that is not positive.
+    column that is not a uniform grid, a non-finite sample (before or after
+    the conversion to ohm), a sidecar without a numeric bias_current_A or a
+    bias current that is not positive.
     """
     path = Path(path)
     with open(path) as f:
         index, cols = _trace_header(f)
-    if cols[:2] == ["time_s", "resistance_ohm"]:
-        dt, values = _read_rows(path, index + 1)
-    elif cols[:2] == ["time_s", "voltage_V"]:
+    volts = cols[:2] == ["time_s", "voltage_V"]
+    if not volts and cols[:2] != ["time_s", "resistance_ohm"]:
+        raise TraceFormatError(f"unrecognized trace header: {','.join(cols)!r}")
+    if volts:
         if bias_current is None:
             sidecar = bias_sidecar(path)
             if not sidecar.exists():
@@ -585,10 +615,14 @@ def load_trace(
             bias_current = _sidecar_bias_current(sidecar)
         if not bias_current > 0:
             raise ValueError(f"bias current must be > 0 A, got {bias_current:g}")
-        dt, volts = _read_rows(path, index + 1)
-        values = volts / bias_current
-    else:
-        raise TraceFormatError(f"unrecognized trace header: {','.join(cols)!r}")
-    if offset_ohm:
-        values = values - offset_ohm
+    dt, values = _read_rows(path, index + 1)
+    # in place: the reader's array is the only one of the trace's length
+    with np.errstate(over="ignore"):  # a sample that overflows is reported below
+        if volts:
+            values /= bias_current
+        if offset_ohm:
+            values -= offset_ohm
+    if not np.all(np.isfinite(values)):
+        bad = int(np.flatnonzero(~np.isfinite(values))[0])
+        raise TraceFormatError(f"sample {bad} is not finite in ohm: {values[bad]}")
     return TelegraphTrace(sample_interval=dt, values=values)

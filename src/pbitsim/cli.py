@@ -176,7 +176,8 @@ FLAGS = {
 }
 
 # Each key's own range, checked for every key a command takes, whichever of
-# its modes uses it.  Rules that join two keys stay with their runner.
+# its modes uses it.  Rules that join two keys stay with their runner, which
+# checks them in either mode too.
 _POSITIVE = {
     "duration_s", "dt_s", "point_duration_s", "b_step_T", "v_step_V",
     "sample_interval_s", "i0", "bias_current_A",
@@ -313,6 +314,7 @@ def _smtj_from_cfg(cfg: dict) -> SmtjParams:
 
 def cmd_smtj_trace(cfg: dict, given: set) -> dict:
     smtj = _smtj_from_cfg(cfg)
+    _require(cfg["duration_s"] >= cfg["dt_s"], "duration_s must cover one sample")
     if cfg["input_trace"] is not None:
         _require(Path(cfg["input_trace"]).is_file(), f"no such trace: {cfg['input_trace']}")
         # a voltage export's sidecar overrides the default bias current, not
@@ -322,7 +324,6 @@ def cmd_smtj_trace(cfg: dict, given: set) -> dict:
             bias = None
         trace = load_trace(cfg["input_trace"], bias_current=bias, offset_ohm=cfg["offset_ohm"])
     else:
-        _require(cfg["duration_s"] >= cfg["dt_s"], "duration_s must cover one sample")
         b = cfg["b_field_T"] if cfg["b_field_T"] is not None else smtj.b_5050
         trace = sample_trajectory(smtj, b, cfg["duration_s"], cfg["dt_s"], cfg["seed"])
 
@@ -423,11 +424,13 @@ def _pbit_from_cfg(cfg: dict) -> PbitParams:
 
 
 def _transfer_grid(cfg: dict) -> list:
+    # the stepped grid must hold a point even where an input list overrides it
+    count = _grid_count(cfg["v_start_V"], cfg["v_stop_V"], cfg["v_step_V"], "input")
+    _require(count >= 1, "v_stop_V must not lie below v_start_V")
     if cfg["v_inputs_V"] is not None:
         grid = [float(v) for v in cfg["v_inputs_V"]]
     else:
-        count = _grid_count(cfg["v_start_V"], cfg["v_stop_V"], cfg["v_step_V"], "input")
-        grid = [cfg["v_start_V"] + k * cfg["v_step_V"] for k in range(max(count, 0))]
+        grid = [cfg["v_start_V"] + k * cfg["v_step_V"] for k in range(count)]
     _require(len(grid) >= 1, "input grid is empty")
     v_dd = cfg["v_dd_V"]
     _require(all(0 <= v <= v_dd for v in grid), "grid inputs must lie in [0, v_dd]")

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import curve_fit
 
+from pbitsim import analysis
 from pbitsim.analysis import (
     FieldSweep,
     FitDiverged,
@@ -20,6 +22,7 @@ from pbitsim.analysis import (
     _acf_fft,
     _acf_two_level,
     _next_fast_len,
+    _read_rows,
     autocorrelation,
     extract_stochastic_window,
     fit_dwell_time,
@@ -167,8 +170,6 @@ class TestAutocorrelation:
         ],
     )
     def test_dispatch(self, monkeypatch, values, path):
-        import pbitsim.analysis as analysis
-
         ran = []
         for name, kind in (("_acf_two_level", "two_level"), ("_acf_fft", "fft")):
             def record(*args, _fn=getattr(analysis, name), _kind=kind):
@@ -187,6 +188,69 @@ class TestAutocorrelation:
         acf = autocorrelation(TelegraphTrace(1.0, vals), max(1, len(data) // 4 - 1))
         assert acf[0, 1] == 1.0
         assert np.all(np.abs(acf[:, 1]) <= 1.0 + 1e-12)
+
+
+def noisy_telegraph(n, seed):
+    """A telegraph of mean run 400 samples under Gaussian read noise."""
+    rng = np.random.default_rng(seed)
+    high = np.cumsum(rng.random(n) < 1 / 400) % 2 == 1
+    return np.where(high, 35880.0, 27600.0) + rng.normal(0.0, 200.0, n)
+
+
+def whole_signal_acf(x, max_lag):
+    """The single zero-padded FFT over all of x that the blocked path replaced."""
+    xc = x - x.mean()
+    m = _next_fast_len(x.size + max_lag + 1)
+    f = np.fft.rfft(xc, m)
+    corr = np.fft.irfft(f * f.conj(), m)[: max_lag + 1]
+    return corr / corr[0]
+
+
+def long_double_acf(x, lags):
+    xc = x.astype(np.longdouble)
+    xc -= xc.mean()
+    return np.array([xc[: x.size - k] @ xc[k:] for k in lags]) / (xc @ xc)
+
+
+class TestBlockedAcf:
+    # the error of the whole-signal FFT against a long-double direct sum,
+    # measured on 5M-sample noisy telegraphs
+    WHOLE_SIGNAL_ERROR = 6e-16
+
+    @pytest.mark.parametrize(
+        "n", [30_000, analysis._ACF_BLOCK, 2 * analysis._ACF_BLOCK + 12_345],
+        ids=["under-one-block", "one-block", "not-a-multiple"],
+    )
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_matches_long_double_direct_sum(self, n, seed):
+        x = noisy_telegraph(n, seed)
+        lags = [1, 100, 837]
+        exact = long_double_acf(x, lags)
+        blocked = np.abs(_acf_fft(x, 837)[lags] - exact).max()
+        whole = np.abs(whole_signal_acf(x, 837)[lags] - exact).max()
+        assert whole <= self.WHOLE_SIGNAL_ERROR
+        assert blocked <= self.WHOLE_SIGNAL_ERROR
+
+    def test_last_lag_and_zero_lag(self):
+        # lags up to max_lag reach into the next block; lag 0 normalises
+        x = noisy_telegraph(3 * analysis._ACF_BLOCK - 1, 3)
+        acf = _acf_fft(x, 837)
+        assert acf[0] == 1.0
+        assert np.allclose(acf, whole_signal_acf(x, 837), rtol=0, atol=1e-14)
+
+    def test_memory_does_not_grow_with_n(self):
+        peaks = {}
+        for n in (1_000_000, 2_000_000):
+            x = noisy_telegraph(n, 4)
+            tracemalloc.start()
+            try:
+                _acf_fft(x, 837)
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # a whole-signal FFT takes about 30 MiB per million samples
+        assert peaks[2_000_000] <= 1.1 * peaks[1_000_000], peaks
+        assert peaks[2_000_000] < 4 * 2**20, peaks
 
 
 class TestFitDwellTime:
@@ -498,6 +562,19 @@ class TestLoadTraceValidation:
         with pytest.raises(TraceFormatError, match="sample 150 is not finite"):
             load_trace(path)
 
+    @pytest.mark.parametrize(
+        "header,sample,offset",
+        [("time_s,voltage_V", "1e306", 0.0), ("time_s,resistance_ohm", "-1.5e308", 1e308)],
+        ids=["bias-division", "offset"],
+    )
+    def test_overflow_on_conversion_rejected(self, tmp_path, header, sample, offset):
+        rows = [f"{k * 1e-5:.12g},{0.276 if k % 9 else 0.359}" for k in range(200)]
+        rows[150] = f"{150 * 1e-5:.12g},{sample}"
+        path = tmp_path / "trace.csv"
+        write_lines(path, [header] + rows)
+        with pytest.raises(TraceFormatError, match="sample 150 is not finite in ohm"):
+            load_trace(path, bias_current=BIAS, offset_ohm=offset)
+
     @pytest.mark.parametrize("bias", [0.0, -1e-5])
     def test_bias_current_must_be_positive(self, tmp_path, bias):
         header, rows = TRACE_FORMATS["voltage"]
@@ -508,3 +585,99 @@ class TestLoadTraceValidation:
         (tmp_path / "scope.csv.json").write_text(json.dumps({"bias_current_A": bias}))
         with pytest.raises(ValueError, match="bias current must be > 0"):
             load_trace(path)
+
+
+def loadtxt_samples(path):
+    """The samples as one whole-file loadtxt and a contiguous copy of its column give them."""
+    rows = np.loadtxt(path, dtype=[("t", float), ("x", float)], delimiter=",", skiprows=1)
+    return np.ascontiguousarray(rows["x"])
+
+
+def grid_rows(n, dt=1e-5, shift_from=None):
+    """n rows k*dt; from row shift_from on, every time moves by half a step."""
+    times = np.arange(n) * dt
+    if shift_from is not None:
+        times[shift_from:] += 0.5 * dt
+    values = np.where(np.arange(n) % 3, 27600.0, 35880.0) + np.arange(n) * 0.125
+    return ["time_s,resistance_ohm"] + [f"{t:.12g},{v:.12g}" for t, v in zip(times, values)]
+
+
+class TestReadRowsSlices:
+    SLICE = 4  # rows per slice here, so files of a few rows cross several
+
+    @pytest.fixture(autouse=True)
+    def small_slices(self, monkeypatch):
+        monkeypatch.setattr(analysis, "_READ_SLICE", self.SLICE)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 7, 8, 9, 13])
+    def test_samples_equal_whole_file_parse(self, tmp_path, n):
+        path = tmp_path / "trace.csv"
+        write_lines(path, grid_rows(n))
+        dt, values = _read_rows(path, 1)
+        assert dt == 1e-5
+        assert np.array_equal(values, loadtxt_samples(path))
+        assert values.flags.c_contiguous and values.flags.writeable
+
+    @pytest.mark.parametrize("row", [0, 3, 4, 5, 8, 12])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_sample_at_slice_edges(self, tmp_path, row, bad):
+        lines = grid_rows(13)
+        lines[1 + row] = lines[1 + row].split(",")[0] + "," + bad
+        path = tmp_path / "trace.csv"
+        write_lines(path, lines)
+        with pytest.raises(TraceFormatError) as err:
+            _read_rows(path, 1)
+        assert str(err.value) == f"sample {row} is not finite: {float(bad)}"
+
+    @pytest.mark.parametrize("row", [3, 4, 5, 8, 12])
+    def test_bad_step_at_slice_edges(self, tmp_path, row):
+        # only the step into `row` is off the grid; row 4 is the first of the
+        # second slice, so that step lies between two slices
+        path = tmp_path / "trace.csv"
+        write_lines(path, grid_rows(13, shift_from=row))
+        with pytest.raises(TraceFormatError, match="not a uniform grid"):
+            _read_rows(path, 1)
+
+    def test_grid_error_outranks_an_earlier_non_finite_sample(self, tmp_path):
+        lines = grid_rows(13, shift_from=9)
+        lines[1 + 2] = lines[1 + 2].split(",")[0] + ",nan"
+        path = tmp_path / "trace.csv"
+        write_lines(path, lines)
+        with pytest.raises(TraceFormatError, match="not a uniform grid"):
+            _read_rows(path, 1)
+
+
+@pytest.fixture(scope="module")
+def million_row_export(tmp_path_factory):
+    """A 1M-row `time_s,voltage_V` export at 100 kHz and its bias sidecar."""
+    n = 1_000_000
+    path = tmp_path_factory.mktemp("export") / "scope.csv"
+    volts = noisy_telegraph(n, 6) * BIAS
+    with open(path, "w") as f:
+        f.write("time_s,voltage_V\n")
+        for start in range(0, n, 100_000):
+            rows = np.column_stack([np.arange(start, start + 100_000) * 1e-5,
+                                    volts[start : start + 100_000]])
+            f.write(("%.5f,%.6f\n" * len(rows)) % tuple(rows.ravel().tolist()))
+    (path.parent / "scope.csv.json").write_text(json.dumps({"bias_current_A": BIAS}))
+    return path, n
+
+
+@pytest.mark.parametrize("offset", [0.0, 12.5])
+def test_load_trace_memory_is_loadtxts_own(million_row_export, offset):
+    # loadtxt's peak is its output plus a few MiB of its own buffers; the
+    # checks, the packed samples and the unit conversion add at most 10% of
+    # the rows' bytes to it (whole-column checks and copies added about 100%)
+    path, n = million_row_export
+    tracemalloc.start()
+    try:
+        rows = np.loadtxt(path, dtype=[("t", float), ("x", float)], delimiter=",", skiprows=1)
+        loadtxt_peak = tracemalloc.get_traced_memory()[1]
+        del rows
+        tracemalloc.reset_peak()
+        trace = load_trace(path, offset_ohm=offset)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(trace) == n
+    assert peak <= loadtxt_peak + 0.1 * 16 * n, (peak, loadtxt_peak)

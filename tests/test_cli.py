@@ -6,15 +6,17 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 import pbitsim
+from pbitsim import analysis
 from pbitsim.analysis import load_trace, threshold_states
 from pbitsim import cli
 from pbitsim.cli import main
@@ -162,11 +164,18 @@ BAD_CONFIGS = [
     ("gate", '{"gate": "xor"}', []),
     ("gate", '{"activation": "exact"}', []),
     ("gate", '{"clamp_c": 2}', []),
+    # rules that join two keys, in the mode that does not use them; None
+    # stands for the native trace
+    ("smtj-trace", None, ["--input-trace", None, "--duration-s", "1e-6", "--dt-s", "1"]),
+    ("transfer", None, ["--v-inputs", "0.6,0.61", "--v-start-V", "0.7", "--v-stop-V", "0.1"]),
 ]
 
 
 @pytest.mark.parametrize("command,config,flags", BAD_CONFIGS)
-def test_bad_config_value_exits_2(tmp_path, capsys, command, config, flags):
+def test_bad_config_value_exits_2(tmp_path, capsys, request, command, config, flags):
+    if None in flags:
+        trace = request.getfixturevalue("native_trace")
+        flags = [trace if f is None else f for f in flags]
     args = []
     if config is not None:
         (tmp_path / "cfg.json").write_text(config)
@@ -288,6 +297,87 @@ def test_wrong_kind_config_value_exits_2(case):
         assert main([command, "--config", str(config)]) == 2
         assert err.getvalue().startswith(f"pbitsim: config error: {key} must be ")
         assert not out.exists()
+
+
+_HEADERS = ["time_s,resistance_ohm", "time_s,resistance_ohm,state", "time_s,voltage_V",
+            "time_s,voltage_V,ch2", "time_s", "voltage_V,time_s"]
+# 1e306 V overflows on conversion at the 10 uA default bias current
+_CELLS = st.sampled_from(["nan", "inf", "-inf", "", "x", "1e999", "1e306", "0x10", " 3 ", "1,2"])
+_SIDECARS = st.one_of(
+    st.none(),
+    st.sampled_from(['{"bias_current_A": 1e-5}', '{"bias_current_A": 2e-5}',
+                     '{"bias_current_A": "1e-5"}', "{}", '{"bias_current_A": null}', '{"bias_current_A": true}',
+                     '{"bias_current_A": -1e-5}', '{"bias_current_A": NaN}', "[1e-5]",
+                     "not json", ""]),
+)
+
+
+@st.composite
+def _trace_file(draw):
+    """Lines of a small trace file around a two-level telegraph, and a sidecar."""
+    header = draw(st.sampled_from(_HEADERS + [None]))
+    if header is None:
+        header = draw(st.text("tim_es,volV#", max_size=12))
+    # a clean file of 1000 rows holds about 250 runs, enough for the analysis
+    n = draw(st.sampled_from([1000, 1000, 1000, 50, 3, 2, 1, 0]))
+    dt = draw(st.sampled_from([1e-5, 1e-5, 2.5e-7, 1.0, 5e-324]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    high = np.cumsum(rng.random(n) < 0.25) % 2 == 1
+    scale = 1e-5 if "voltage" in header else 1.0
+    values = (np.where(high, 35880.0, 27600.0) + rng.normal(0.0, 50.0, n)) * scale
+    rows = [[f"{k * dt:.12g}", f"{v:.12g}"] for k, v in enumerate(values)]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2, 4]))):
+        if not rows:
+            break
+        k = draw(st.integers(0, len(rows) - 1))
+        edit = draw(st.sampled_from(["jitter", "repeat", "cell", "extra", "short"]))
+        if edit == "jitter":
+            rows[k][0] = f"{(k + draw(st.sampled_from([1e-4, -1e-4, 0.01, 0.5]))) * dt:.12g}"
+        elif edit == "repeat":
+            rows[k][0] = rows[k - 1][0]
+        elif edit == "cell":
+            rows[k][draw(st.integers(0, len(rows[k]) - 1))] = draw(_CELLS)
+        elif edit == "extra":
+            rows[k].append("0.5")
+        else:
+            del rows[k][1:]
+    lines = [header] + [",".join(row) for row in rows]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 3]))):
+        at = draw(st.integers(0, len(lines)))
+        lines.insert(at, draw(st.sampled_from(["", "# scope: ch1", "  ", "#"])))
+    return lines, draw(_SIDECARS)
+
+
+@settings(max_examples=200, deadline=None, phases=[Phase.explicit, Phase.generate])
+@given(_trace_file())
+@example((["time_s,resistance_ohm", "0,1", "inf,2", "inf,3"], None))  # inf - inf step
+@example((["time_s,voltage_V", "-1e308,1", "1e308,2"], None))  # overflowing step
+@example((["time_s,voltage_V", "0,1e306", "1,1"], None))  # overflowing resistance
+def test_fuzzed_trace_file_reads_or_exits_cleanly(case):
+    # load_trace returns or raises ValueError; the CLI exits 0, 2 or 3 and
+    # makes no out dir on 2.  Slices of 3 rows put boundaries in every file.
+    lines, sidecar = case
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(analysis, "_READ_SLICE", 3), \
+            warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        warnings.simplefilter("always")
+        path = Path(tmp) / "scope.csv"
+        path.write_text("\n".join(lines) + "\n")
+        if sidecar is not None:
+            (Path(tmp) / "scope.csv.json").write_text(sidecar)
+        try:
+            trace = load_trace(path)
+        except ValueError:
+            pass
+        else:
+            assert np.all(np.isfinite(trace.values))
+        out = Path(tmp) / "out"
+        code = main(["smtj-trace", "--input-trace", str(path), "--out-dir", str(out)])
+        assert code in (0, 2, 3)
+        assert "Traceback" not in err.getvalue()
+        assert [str(w.message) for w in caught] == []
+        assert out.exists() == (code == 0)
 
 
 # Flags spelled other than "--" + the key with "_" as "-".
