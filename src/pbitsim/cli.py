@@ -340,7 +340,7 @@ def cmd_smtj_trace(cfg: dict, given: set) -> dict:
     if cfg["svg"]:
         stride = max(1, len(labeled) // 4000)
         files["trace.svg"] = line_svg(
-            labeled.times[::stride],
+            np.arange(0, len(labeled), stride) * dt,
             labeled.values[::stride],
             "sMTJ resistance trace",
             "time (s)",

@@ -130,12 +130,16 @@ class TelegraphTrace:
     def to_csv(self, file) -> None:
         """Write `time_s,resistance_ohm,state` rows (state column only when labeled).
 
-        Row k holds `k * sample_interval` and the sample, both `%.12g`.  Rows
-        are rendered in slices of ceil(_CSV_ROWS / cpus) on a pool of one
-        thread per CPU this process may use (the numpy kernels release the
-        GIL); at most one slice per thread is in flight and slices are written
-        in order, so the bytes do not depend on the CPU count and memory stays
-        bounded.
+        Row k holds `k * sample_interval` and the sample, both `%.12g`.  Two
+        cases skip formatting each cell, and both print the same bytes: when
+        sample_interval is the double of a decimal of at most 12 digits, the
+        time cells are built from integer digit tables (_render_times); and
+        when a slice's samples equal their label's level bit for bit, its two
+        row ends are rendered once and gathered by label.  Rows are rendered
+        in slices of ceil(_CSV_ROWS / cpus) on a pool of one thread per CPU
+        this process may use (the numpy kernels release the GIL); at most one
+        slice per thread is in flight and slices are written in order, so the
+        bytes do not depend on the CPU count and memory stays bounded.
         """
         file.write("time_s,resistance_ohm,state\n" if self.labels is not None
                    else "time_s,resistance_ohm\n")
@@ -155,24 +159,15 @@ class TelegraphTrace:
 
     def _csv_rows(self, start: int, stop: int) -> str:
         """The CSV text of rows start .. stop - 1, rendered into a byte matrix."""
-        labeled = self.labels is not None
-        # row layout: time cell, ',', sample cell, [',', state cell,] '\n'
-        sample_at = _G12_WIDTH + 1
-        width = 2 * sample_at + (3 if labeled else 0)
-        rows = np.zeros((stop - start, width), dtype=np.uint8)
-        rows[:, sample_at - 1] = ord(",")
-        rows[:, -1] = ord("\n")
-        if labeled:
-            rows[:, -4] = ord(",")
-            anti = self.labels[start:stop] != 0
-            rows[:, -3] = np.where(anti, ord("A"), ord("P"))
-            rows[:, -2] = np.where(anti, ord("P"), 0)
-        # int64 * float64 rounds exactly as the scalar k * dt
-        times = np.arange(start, stop) * self.sample_interval
-        left = [
-            (at, x, _render_g12(x, rows[:, at : at + _G12_WIDTH]))
-            for at, x in ((0, times), (sample_at, self.values[start:stop]))
-        ]
+        rows = np.zeros((stop - start, _ROW_WIDTH), dtype=np.uint8)
+        left = _render_times(rows, self.sample_interval, start, stop)
+        values = self.values[start:stop]
+        anti = None if self.labels is None else self.labels[start:stop] != 0
+        levels = None if anti is None else _two_levels(values, anti)
+        if levels is None:
+            left.append(_render_tails(rows, values, anti))
+        else:
+            rows[:, _TIME_WIDTH:] = _level_tails(*levels).take(anti.view(np.uint8), axis=0)
         _render_g12_slow(rows, left)
         return rows[rows != 0].tobytes().decode("ascii")
 
@@ -187,6 +182,13 @@ def _usable_cpus() -> int:
 
 # Widest %.12g cell: sign, 12 digits and a point, 'e', exponent sign, 3 digits.
 _G12_WIDTH = 19
+
+# Row layout of TelegraphTrace._csv_rows: time cell (_render_times writes up
+# to 5 uint32 words there), ',', sample cell, [',', state cell,] NUL padding,
+# '\n'; 44 bytes, so the rows are whole uint32 words.
+_TIME_WIDTH = 20
+_SAMPLE_AT = _TIME_WIDTH + 1
+_ROW_WIDTH = _SAMPLE_AT + _G12_WIDTH + 4
 
 # 10**k for k = 0..15, each exact in float64.
 _POW10 = np.array([float(10**k) for k in range(16)])
@@ -263,20 +265,196 @@ def _render_g12(x: np.ndarray, cells: np.ndarray) -> np.ndarray:
     return left
 
 
+def _decimal_grid(dt: float) -> tuple[int, int] | None:
+    """(digits, places) when dt is the double nearest digits * 10**-places, or None.
+
+    That holds for the decimal `%.12g` prints when it reads back as dt.
+    """
+    text = "%.12g" % dt
+    if not math.isfinite(dt) or float(text) != dt:
+        return None
+    mantissa, _, exponent = text.partition("e")
+    whole, _, frac = mantissa.partition(".")
+    digits, places = int(whole + frac), len(frac) - int(exponent or 0)
+    if places < 0:
+        digits, places = digits * 10**-places, 0
+    return digits, places
+
+
+def _render_times(rows: np.ndarray, dt: float, start: int, stop: int) -> list:
+    """Write `%.12g` of k * dt for k = start .. stop - 1 into the time cells of rows.
+
+    rows is a uint8 matrix of stop - start rows of whole uint32 words, at
+    least _TIME_WIDTH bytes; the cell is its first _TIME_WIDTH bytes.  On a
+    decimal grid, dt = D * 10**-F (_decimal_grid), the double k * dt lies
+    within 2.3e-16 relative of the decimal N * 10**-F, N = k * D.
+    While N < 10**12 that decimal has at most 12 digits and the nearest
+    12-digit rounding boundary is at least 5e-13 relative away, so `%.12g`
+    prints exactly it; _render_grid writes it from N.  The other rows (k = 0,
+    exponent form below 1e-4, N >= 10**12, or dt off the grid) go through
+    _render_g12.  Returns the _render_g12_slow entries of the cells left.
+    """
+    grid = _decimal_grid(dt)
+    first = last = start
+    if grid is not None:
+        digits, places = grid
+        # rows first .. last - 1 have 10**(places - 4) <= N < 10**12
+        first = min(max(start, 1, -(-(10 ** max(places - 4, 0)) // digits)), stop)
+        last = max(min(stop, (10**12 - 1) // digits + 1), first)
+        if first < last:
+            words = rows[first - start : last - start].view("<u4")
+            _render_grid(words, digits, places, first, last)
+    left = []
+    for lo, hi in ((start, first), (last, stop)):
+        if lo < hi:
+            # int64 * float64 rounds exactly as the scalar k * dt
+            x = np.arange(lo, hi) * dt
+            idx = _render_g12(x, rows[lo - start : hi - start, :_G12_WIDTH])
+            left.append((0, idx + (lo - start), x[idx]))
+    return left
+
+
+def _render_grid(words: np.ndarray, digits: int, places: int, start: int, stop: int) -> None:
+    """Write the decimal k * digits * 10**-places for k = start .. stop - 1.
+
+    words holds one row of uint32 words per k.  Each value must lie in
+    [1e-4, 1e12) and have at most 12 digits, so it prints in fixed notation:
+    the integer part in 4-digit groups without its leading zeros, then a
+    point and the fraction up to its last nonzero digit.  That takes at most
+    5 words: 4 for 12 digits and the point, or 1 for the 0 of a value below 1
+    and 4 for its point and up to 15 places.  The zero bytes are NUL, and
+    the others one run from the first word on.
+    """
+    n = np.arange(start, stop, dtype=np.int64) * digits
+    whole = n // 10**places
+    # integer group j (digits 4j .. 4j + 3 left of the point) leads on the
+    # rows with whole in [10**4j, 10**(4j + 4)); whole ascends, so those rows
+    # run from bounds[j] to bounds[j + 1], and group j is NUL before them
+    bounds = [0, *np.searchsorted(whole, [10**4, 10**8]).tolist(), n.size]
+    groups = 1 + sum(b < n.size for b in bounds[1:3])
+    full, lead, trail, dot_full, dot_trail = _quad_tables()
+    for j in range(groups):
+        quads = whole[bounds[j] :] // 10 ** (4 * j)
+        leading, rest = np.split(quads, [bounds[j + 1] - bounds[j]])
+        words[bounds[j] : bounds[j + 1], groups - 1 - j] = lead.take(leading)
+        words[bounds[j + 1] :, groups - 1 - j] = full.take(rest - rest // 10**4 * 10**4)
+    if not places:
+        return
+    # the fraction: a point and 3 digits, then groups of 4; on the rows where
+    # the digits after a word are all zero, it drops its trailing zeros (and
+    # the first word its point, when the whole fraction is zero)
+    count = places // 4 + 1
+    low = (n - whole * 10**places) * 10 ** (4 * count - 1 - places)
+    for g in range(count):
+        scale = 10 ** (4 * (count - 1 - g))
+        quads = low // scale
+        low = low - quads * scale
+        tail = _multiples(digits, places - 4 * g - 3, start, stop)
+        if tail.step > 1:
+            words[:, groups + g] = (dot_full if g == 0 else full).take(quads)
+        words[tail, groups + g] = (dot_trail if g == 0 else trail).take(quads[tail])
+
+
+@functools.cache
+def _quad_tables() -> tuple:
+    """ASCII of the 4-digit groups 0000 .. 9999, as little-endian uint32.
+
+    Returns (full, lead, trail, dot_full, dot_trail), each indexed by the
+    group's value, first digit in the first byte: full with every digit,
+    lead with the leading zeros as NUL (but the last digit, so 0 is three
+    NULs and a "0"), trail with the trailing zeros as NUL (so 0 is all NUL), and
+    dot_full and dot_trail the same for the point and 3 digits, ".000" ..
+    ".999" (dot_trail drops the point of 0).  Built on first use, so that
+    importing the module stays cheap.
+    """
+    digits = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T
+    text = digits + np.uint8(ord("0"))
+    dotted = np.concatenate([np.full((1000, 1), ord("."), np.uint8), text[:1000, 1:]], axis=1)
+    lead = np.logical_or.accumulate(digits != 0, axis=1)
+    lead[:, 3] = True
+    trail = np.logical_or.accumulate(digits[:, ::-1] != 0, axis=1)[:, ::-1]
+    tables = []
+    for chars, keep in [
+        (text, True), (text, lead), (text, trail), (dotted, True), (dotted, trail[:1000])
+    ]:
+        tables.append(np.where(keep, chars, 0).reshape(-1).view("<u4"))
+        tables[-1].flags.writeable = False  # shared by every caller
+    return tuple(tables)
+
+
+def _multiples(digits: int, exponent: int, start: int, stop: int) -> slice:
+    """The rows k in start .. stop - 1 where k * digits is a multiple of 10**exponent.
+
+    As offsets from start: every period-th k, since k * digits is such a
+    multiple exactly when k is one of 10**exponent / gcd(digits, 10**exponent).
+    """
+    power = 10 ** max(exponent, 0)
+    period = power // math.gcd(digits, power)
+    return slice(-start % period, stop - start, period)
+
+
+def _render_tails(rows: np.ndarray, values: np.ndarray, anti: np.ndarray | None) -> tuple:
+    """Write each row's ',', sample cell, [',', state cell,] and newline after its time cell.
+
+    anti is the row's label (True for AP), or None for no state column.
+    Returns the _render_g12_slow entry of the sample cells _render_g12 left.
+    """
+    rows[:, _SAMPLE_AT - 1] = ord(",")
+    rows[:, -1] = ord("\n")
+    if anti is not None:
+        # ",AP" or "\0,P", so the state and '\n' are one run
+        rows[:, -4] = np.where(anti, ord(","), 0)
+        rows[:, -3] = np.where(anti, ord("A"), ord(","))
+        rows[:, -2] = ord("P")
+    idx = _render_g12(values, rows[:, _SAMPLE_AT : _SAMPLE_AT + _G12_WIDTH])
+    return _SAMPLE_AT, idx, values[idx]
+
+
+def _two_levels(x: np.ndarray, anti: np.ndarray) -> tuple[int, int] | None:
+    """The bit patterns of the two values x takes by label (anti False, True), or None.
+
+    The levels are the first sample of each label, and every sample must
+    have its level's bit pattern, so -0.0 on a 0.0 level or one NaN payload
+    on another gives None.  A label that does not occur gets the other's
+    level.
+    """
+    bits = x.view(np.uint64)
+    levels = bits[[np.argmin(anti), np.argmax(anti)]]
+    if not np.array_equal(bits, np.where(anti, levels[1], levels[0])):
+        return None
+    return tuple(levels.tolist())
+
+
+@functools.lru_cache(maxsize=16)
+def _level_tails(low: int, high: int) -> np.ndarray:
+    """The row bytes after the time cell for the levels with bit patterns low and high.
+
+    Row 0 is for label P and row 1 for AP; each is packed to the front (a
+    stable sort of its NUL mask), so that it is one run for the compaction.
+    """
+    pair = np.zeros((2, _ROW_WIDTH), dtype=np.uint8)
+    levels = np.array([low, high], dtype=np.uint64).view(float)
+    _render_g12_slow(pair, [_render_tails(pair, levels, np.array([False, True]))])
+    tails = pair[:, _TIME_WIDTH:]
+    tails = np.take_along_axis(tails, np.argsort(tails == 0, axis=1, kind="stable"), 1)
+    tails.flags.writeable = False  # shared by every caller
+    return tails
+
+
 def _render_g12_slow(rows: np.ndarray, left: list) -> None:
     """Fill the cells _render_g12 left with one batched `%.12g` over all of them.
 
-    rows is the row matrix; left holds (first column of the cell, values,
-    indices _render_g12 returned) for each rendered column.
+    rows is the row matrix; left holds (first column of the cell, row
+    indices, values) for each rendered column.
     """
-    values = [v for _, x, idx in left for v in x[idx].tolist()]
+    values = [v for _, _, x in left for v in x.tolist()]
     if not values:
         return
     text = ("%.12g\n" * len(values)) % tuple(values)
     text = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
     ends = np.flatnonzero(text == ord("\n"))
     starts = np.concatenate(([0], ends[:-1] + 1))
-    dest = np.concatenate([idx * rows.shape[1] + at for at, _, idx in left])
+    dest = np.concatenate([idx * rows.shape[1] + at for at, idx, _ in left])
     # byte i of the text, in cell c, lands at dest[c] + i - starts[c]
     cell = np.repeat(np.arange(len(values)), ends - starts + 1)
     shift = dest - starts

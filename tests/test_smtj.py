@@ -6,6 +6,8 @@ import os
 import struct
 import threading
 import tracemalloc
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -401,6 +403,16 @@ _SAMPLES = st.builds(
 )
 _INTERVALS = st.sampled_from([1e-5, 3.3e-6, 2e-6, 1e-9])
 
+# Sample intervals on a decimal grid, D * 10**-F, their one-ulp neighbours,
+# and intervals whose %.12g does not read back.
+_GRID_INTERVALS = st.one_of(
+    st.builds(
+        lambda d, f, side: _near(float(f"{d}e-{f}"), side),
+        st.integers(1, 10**6), st.integers(0, 12), _NEIGHBOUR,
+    ),
+    st.sampled_from([1 / 3, math.nextafter(1e-5, 1), 3.333333333333333e-05, 0.1 + 0.2]),
+)
+
 
 class TestTraceCsvMatchesPerRowWriter:
     @staticmethod
@@ -443,6 +455,142 @@ class TestTraceCsvMatchesPerRowWriter:
         for index, x in planted:
             values[min(index, n - 1)] = x
         self.assert_matches(TelegraphTrace(dt, values, anti if labeled else None))
+
+    @settings(max_examples=300, deadline=None)
+    @example(dt=1e-5, n=300, labeled=True)
+    @example(dt=1.0, n=300, labeled=False)
+    @given(_GRID_INTERVALS, st.integers(1, 300), st.booleans())
+    def test_grid_intervals(self, dt, n, labeled):
+        anti = np.arange(n) % 3 == 0
+        values = np.where(anti, 35880.0, 27600.0)
+        self.assert_matches(TelegraphTrace(dt, values, anti if labeled else None))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        levels=st.tuples(_SAMPLES, _SAMPLES),
+        anti=st.lists(st.booleans(), min_size=1, max_size=40),
+        planted=st.lists(st.tuples(st.integers(0, 39), _SAMPLES), max_size=2),
+    )
+    def test_two_level_samples(self, levels, anti, planted):
+        # two levels drawn from the same values as above (NaN, -0.0, ties),
+        # sometimes with a third value planted
+        anti = np.array(anti)
+        values = np.where(anti, levels[1], levels[0])
+        for index, x in planted:
+            values[index % anti.size] = x
+        self.assert_matches(TelegraphTrace(1e-5, values, anti))
+
+
+def render_times(dt, start, stop):
+    """The time cells _render_times writes for rows start .. stop - 1, as text."""
+    rows = np.zeros((stop - start, smtj._TIME_WIDTH), dtype=np.uint8)
+    smtj._render_g12_slow(rows, smtj._render_times(rows, dt, start, stop))
+    return [row[row != 0].tobytes().decode("ascii") for row in rows]
+
+
+class TestTimeCells:
+    """The decimal-grid path of the time column, at the rows around its limits."""
+
+    @settings(max_examples=200, deadline=None)
+    @example(digits=1, places=5, side=None)
+    @example(digits=1, places=0, side=None)
+    @example(digits=999999, places=12, side=None)
+    @example(digits=33, places=14, side=None)
+    @example(digits=1, places=15, side=None)
+    @given(st.integers(1, 10**6), st.integers(0, 16), _NEIGHBOUR)
+    def test_rows_around_each_limit(self, digits, places, side):
+        dt = _near(float(f"{digits}e-{places}"), side)
+        grid = smtj._decimal_grid(dt)
+        on_grid = grid is not None
+        assert on_grid == (side is None)
+        if on_grid:
+            # the same decimal, without the trailing zeros of digits
+            assert Fraction(grid[0], 10 ** grid[1]) == Fraction(digits, 10**places)
+            digits, places = grid
+        # N = k * digits crossing 10**(places - 4) (exponent form below),
+        # 10**(places - 3 .. places - 1) (the fraction's leading zeros),
+        # 10**(places + j) (a new integer digit) and 10**12 (the 12-digit cap)
+        for exponent in range(max(places - 4, 0), 13):
+            k = -(-(10**exponent) // digits)
+            start = max(k - 3, 0)
+            general = []
+            render = smtj._render_g12
+
+            def counted(x, cells):
+                general.extend(x.tolist())
+                return render(x, cells)
+
+            with mock.patch.object(smtj, "_render_g12", counted):
+                cells = render_times(dt, start, k + 3)
+            assert cells == ["%.12g" % (i * dt) for i in range(start, k + 3)]
+            # only k = 0, exponent form and N >= 10**12 leave the table path
+            table = [
+                on_grid and i >= 1 and 10**places <= 10**4 * i * digits and i * digits < 10**12
+                for i in range(start, k + 3)
+            ]
+            assert general == [i * dt for i, t in zip(range(start, k + 3), table) if not t]
+
+    @pytest.mark.parametrize("dt, grid", [
+        (1e-5, (1, 5)), (3.3e-6, (33, 7)), (0.1, (1, 1)), (1.0, (1, 0)), (100.0, (100, 0)),
+        (1e20, (10**20, 0)), (123.456, (123456, 3)), (1e-12, (1, 12)),
+        (1 / 3, None), (3.333333333333333e-05, None), (math.nextafter(1e-5, 1), None),
+        (math.inf, None), (math.nan, None),
+    ])
+    def test_decimal_grid(self, dt, grid):
+        assert smtj._decimal_grid(dt) == grid
+
+    def test_cells_fill_at_most_the_time_cell(self):
+        # the widest table cells, 0 with a point and 12 or 15 places and 12
+        # integer digits, fit in the 20-byte time cell
+        for dt, k in [(1e-12, 999999999999), (1e-15, 999999999999), (1.0, 999999999999)]:
+            rows = np.zeros((1, smtj._TIME_WIDTH), dtype=np.uint8)
+            assert smtj._render_times(rows, dt, k, k + 1) == []  # all on the table path
+            assert rows[rows != 0].tobytes().decode("ascii") == "%.12g" % (k * dt)
+
+
+class TestTwoLevelCsv:
+    """The value column is gathered by label only where it is bitwise two-level."""
+
+    OTHER_NAN = struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000001))[0]
+
+    @pytest.mark.parametrize("values, labels, two_level", [
+        # a -0.0 sample on a 0.0 level prints "-0"
+        ([0.0, -0.0, 0.0, 35880.0], [0, 0, 0, 1], False),
+        ([-0.0, -0.0, 35880.0], [0, 0, 1], True),
+        # a NaN level, and a second NaN payload on it
+        ([27600.0, math.nan, math.nan, 27600.0], [0, 1, 1, 0], True),
+        ([27600.0, math.nan, OTHER_NAN, 27600.0], [0, 1, 1, 0], False),
+        # a sample one ulp off its level
+        ([27600.0, 35880.0, math.nextafter(27600.0, math.inf), 35880.0], [0, 1, 0, 1], False),
+        # one label only
+        ([35880.0] * 4, [1] * 4, True),
+        ([27600.0] * 4, [0] * 4, True),
+        # three values, on two labels and on three
+        ([27600.0, 35880.0, 31000.0], [0, 1, 1], False),
+        ([27600.0, 35880.0, 31000.0], [0, 1, 2], False),
+        # labels that swap the levels
+        ([27600.0, 35880.0, 35880.0], [1, 0, 0], True),
+    ])
+    def test_matches_per_row_writer(self, values, labels, two_level):
+        trace = TelegraphTrace(1e-5, np.array(values), np.array(labels))
+        assert (smtj._two_levels(trace.values, trace.labels != 0) is not None) == two_level
+        buf = io.StringIO()
+        trace.to_csv(buf)
+        assert buf.getvalue() == reference_csv(trace)
+
+    def test_slices_of_one_label(self, monkeypatch):
+        # 4-row slices: P only, both, AP only, and a last one with a third value
+        monkeypatch.setattr(smtj, "_CSV_ROWS", 4)
+        monkeypatch.setattr(smtj, "_usable_cpus", lambda: 1)
+        labels = np.array([0, 0, 0, 0, 1, 0, 1, 0, 1, 1, 1, 1, 0, 1])
+        values = np.where(labels, 35880.0, 27600.0)
+        values[-1] = 31000.0
+        trace = TelegraphTrace(1e-5, values, labels)
+        assert smtj._two_levels(values[:4], labels[:4] != 0) is not None
+        assert smtj._two_levels(values[8:12], labels[8:12] != 0) is not None
+        buf = io.StringIO()
+        trace.to_csv(buf)
+        assert buf.getvalue() == reference_csv(trace)
 
 
 class TestTraceCsvThreads:
