@@ -15,11 +15,20 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import re
 import sys
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
+
+# One OpenBLAS thread unless the user chose a count (OpenBLAS reads these
+# three in this order): pbitsim's BLAS calls are fits of 1-4 parameters and
+# one matrix-vector product, and a pool of more threads busy-waits after
+# NumPy's import.  OpenBLAS reads it once, as NumPy loads, so it is set before
+# the imports below, each of which loads NumPy; --jobs workers inherit it.
+if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & set(os.environ):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import numpy as np
 

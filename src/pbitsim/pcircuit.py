@@ -69,6 +69,10 @@ class TooLarge(PCircuitError):
     """Raised when exact enumeration is asked for too many nodes."""
 
 
+class EnergyOverflow(PCircuitError):
+    """Raised when i0 scales a state's energy past the largest double."""
+
+
 @dataclass(frozen=True)
 class PCircuit:
     """Weighted P-Bit network with optional clamped nodes.
@@ -437,8 +441,11 @@ def boltzmann_exact(c: PCircuit) -> dict:
     for node, value in c.clamps.items():
         states[:, node] = value
 
-    energy = -c.i0 * (states @ c.h + 0.5 * np.einsum("si,ij,sj->s", states, c.j, states))
-    energy -= energy.min()
+    with np.errstate(over="ignore"):  # an energy gap past the largest double weighs 0
+        energy = -c.i0 * (states @ c.h + 0.5 * np.einsum("si,ij,sj->s", states, c.j, states))
+        if not np.isfinite(energy).all():
+            raise EnergyOverflow(f"i0={c.i0:g} overflows the state energies")
+        energy -= energy.min()
     weights = np.exp(-energy)
     probs = weights / weights.sum()
     return {word_from_state(s): float(p) for s, p in zip(states, probs)}

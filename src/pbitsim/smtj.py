@@ -28,6 +28,10 @@ import numpy as np
 # dwell time underflows and the trace degenerates to a constant level.
 _OCC_PINNED = 1e-12
 
+# No numpy array holds this many elements.  A sample or dwell count at or
+# above it (an infinite one included) is refused before it is made an int.
+_MAX_COUNT = 2.0**63
+
 # The logistic field scale is window_width / OCC_WINDOW_DIVISOR, which makes
 # the occupancy span roughly [0.02, 0.98] across the stated window.
 OCC_WINDOW_DIVISOR = 8.0
@@ -523,7 +527,10 @@ def switching_times(
     # Chunk size is a fixed function of the arguments so the draw sequence,
     # and hence the trajectory, is reproducible.  Chunks stay even so the
     # dwell-scale alternation pattern is the same in every chunk.
-    chunk = int(1.25 * duration / p.tau_mean) + 16
+    chunk = 1.25 * duration / p.tau_mean
+    if not chunk < _MAX_COUNT:
+        raise ValueError(f"duration {duration:g} s holds too many dwells of {p.tau_mean:g} s")
+    chunk = int(chunk) + 16
     chunk += chunk & 1
 
     # Each chunk is scaled, summed and shifted in place; standard_exponential
@@ -578,6 +585,8 @@ def sample_trajectory(
         raise ValueError("duration must be > 0")
     if duration < dt:
         raise ValueError("duration must cover at least one sample interval")
+    if not duration / dt < _MAX_COUNT:
+        raise ValueError(f"duration {duration:g} s holds too many samples of {dt:g} s")
     if dt > p.tau_mean / 10.0:
         warnings.warn(
             f"dt={dt:g} s exceeds tau_mean/10={p.tau_mean / 10:g} s; "

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -132,6 +133,130 @@ def test_scipy_loads_only_for_fits(tmp_path):
     assert report["after_import"] == []
     assert report["codes"] == [0] * 6
     assert report["after_commands"] == []
+
+
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _fresh(code, *args, **env):
+    """What code prints as JSON, run in a fresh interpreter whose environment
+    holds no BLAS thread variable but those in env."""
+    base = {k: v for k, v in os.environ.items() if k not in _BLAS_THREAD_VARS}
+    result = subprocess.run(
+        [sys.executable, "-c", code, *args], env={**base, "PYTHONPATH": SRC, **env},
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    return json.loads(result.stdout)
+
+
+_CLI_THREADS = """
+import json, os
+import pbitsim.cli
+threads = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
+print(json.dumps([os.environ.get("OPENBLAS_NUM_THREADS"), threads]))
+"""
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux") or (os.cpu_count() or 1) < 2,
+    reason="OpenBLAS starts one thread per core, so one core cannot tell",
+)
+def test_cli_starts_numpy_with_one_blas_thread():
+    assert _fresh(_CLI_THREADS) == ["1", 1]
+
+
+@pytest.mark.parametrize(
+    "env,expected",
+    [({"OPENBLAS_NUM_THREADS": "2"}, "2"), ({"GOTO_NUM_THREADS": "2"}, None),
+     ({"OMP_NUM_THREADS": "2"}, None)],
+)
+def test_user_blas_thread_count_wins(env, expected):
+    assert _fresh(_CLI_THREADS, **env)[0] == expected
+
+
+def test_package_import_loads_no_numpy():
+    code = ("import json, os, sys; before = dict(os.environ); import pbitsim; "
+            "print(json.dumps(['numpy' in sys.modules, dict(os.environ) == before]))")
+    assert _fresh(code) == [False, True]
+
+
+# The names the package exported when its __init__ imported every submodule.
+PACKAGE_EXPORTS = {
+    "analysis": ["DwellEstimate", "FieldSweep", "LevelEstimate", "StochasticWindow",
+                 "autocorrelation", "extract_stochastic_window", "fit_dwell_time",
+                 "mean_dwell_direct", "threshold_states", "tmr_from_levels"],
+    "device": ["InverterParams", "NmosParams", "PbitParams", "TransferCurve",
+               "calibrate_match", "drain_voltage", "nmos_resistance", "output_voltage",
+               "sample_output", "transfer_curve"],
+    "metrics": ["PerfPoint", "comparison_table", "inverter_dynamic_power",
+                "pbit_static_power", "projection_p4", "throughput_from_dwell"],
+    "pcircuit": ["EmpiricalActivation", "IdealTanh", "PCircuit", "StateHistogram",
+                 "and_gate", "boltzmann_exact", "clamp", "compare_to_oracle", "gibbs_run",
+                 "or_gate"],
+    "smtj": ["MtjState", "SmtjParams", "TelegraphTrace", "dwell_times", "occupancy_ap",
+             "r_antiparallel", "sample_trajectory", "simulate_field_sweep",
+             "switching_times"],
+}
+
+_EXPORTS_PROBE = """
+import importlib, json, sys
+import pbitsim
+exports = json.loads(sys.argv[1])
+report = {"dir": sorted(dir(pbitsim)), "all": sorted(pbitsim.__all__)}
+report["same"] = sorted(
+    name for module, names in exports.items() for name in names
+    if getattr(pbitsim, name) is getattr(importlib.import_module("pbitsim." + module), name)
+)
+star = {}
+exec("from pbitsim import *", star)
+report["star"] = sorted(n for n in star if n != "__builtins__" and star[n] is getattr(pbitsim, n))
+try:
+    pbitsim.no_such_name
+except AttributeError as exc:
+    report["unknown"] = str(exc)
+print(json.dumps(report))
+"""
+
+
+def test_package_exports_resolve_lazily():
+    names = sorted(n for names in PACKAGE_EXPORTS.values() for n in names)
+    report = _fresh(_EXPORTS_PROBE, json.dumps(PACKAGE_EXPORTS))
+    assert set(names) <= set(report["dir"])
+    assert report["all"] == names
+    assert report["same"] == names
+    assert report["star"] == names
+    assert report["unknown"] == "module 'pbitsim' has no attribute 'no_such_name'"
+
+
+_BLAS_RESULTS = """
+import hashlib, json
+import numpy as np
+from pbitsim.analysis import fit_dwell_time
+from pbitsim.device import fit_sigmoid
+from pbitsim.pcircuit import PCircuit, boltzmann_exact
+
+rng = np.random.default_rng(16)
+n = 16
+upper = np.triu(rng.uniform(-1.0, 1.0, (n, n)), 1)
+circuit = PCircuit(j=upper + upper.T, h=rng.uniform(-0.5, 0.5, n), i0=1.0, clamps={3: 1})
+exact = boltzmann_exact(circuit)
+lags = np.arange(600)
+acf = np.column_stack([lags * 1e-5, np.exp(-lags / 137.0) + 0.003 * np.sin(lags / 7.0)])
+dwell = fit_dwell_time(acf, 1e-5, 0.43)
+v = np.linspace(0.58, 0.62, 21)
+means = 1.2 / (1.0 + np.exp(-(v - 0.6013) / 0.0041)) + 0.01 * rng.standard_normal(21)
+print(json.dumps({
+    "boltzmann_exact": hashlib.sha256(json.dumps(exact).encode()).hexdigest(),
+    "fit_dwell_time": [x.hex() for x in (dwell.tau, dwell.tau_corr, dwell.fit_rmse)],
+    "fit_sigmoid": [x.hex() for x in fit_sigmoid(v, means, 1.2)],
+}))
+"""
+
+
+def test_results_do_not_depend_on_blas_threads():
+    # json.dumps writes each probability by repr, which round-trips its bits
+    one, two = (_fresh(_BLAS_RESULTS, OPENBLAS_NUM_THREADS=t) for t in ("1", "2"))
+    assert one == two
 
 
 # Config values a command cannot take: (command, config file text or None, flags).
@@ -297,6 +422,112 @@ def test_wrong_kind_config_value_exits_2(case):
         assert main([command, "--config", str(config)]) == 2
         assert err.getvalue().startswith(f"pbitsim: config error: {key} must be ")
         assert not out.exists()
+
+
+# Bounded keys whose value does not set how long a run takes range over every
+# positive double.  The others come from short ranges that keep a run under
+# 100 s of junction time and 5000 samples, since values between those and an
+# overflowing count would allocate gigabytes; test_overflowing_count_exits_3
+# takes the far ends.  Keys a runner joins to them are drawn so that the
+# joint rules hold as well.
+_ANY_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_INTERVAL = st.floats(min_value=0.0, max_value=0.02, exclude_min=True)
+
+
+def _grid(draw, start, step_max, min_points, max_points):
+    """Start, step and stop of a grid of min_points to max_points points; the
+    stop lies half a step past the last point, so rounding cannot change the
+    count."""
+    step = draw(st.floats(min_value=1e-9, max_value=step_max))
+    points = draw(st.integers(min_points, max_points))
+    return start, step, start + (points - 0.5) * step
+
+
+@st.composite
+def _in_range_config(draw, command):
+    cfg = {"seed": draw(st.integers(min_value=0, max_value=2**128))}
+    if command != "metrics":
+        cfg["svg"] = draw(st.booleans())
+    if command in ("field-sweep", "transfer"):
+        cfg["jobs"] = draw(st.integers(1, 4))
+    if command == "smtj-trace":
+        dt = draw(_INTERVAL)
+        cfg.update(dt_s=dt, duration_s=dt * draw(st.integers(1, 5000)),
+                   bias_current_A=draw(_ANY_POSITIVE),
+                   input_trace=draw(st.sampled_from([None, "voltage export"])))
+    elif command == "field-sweep":
+        dt = draw(_INTERVAL)
+        cfg["dt_s"], cfg["point_duration_s"] = dt, dt * draw(st.integers(1, 1000))
+        cfg["b_min_T"], cfg["b_step_T"], cfg["b_max_T"] = _grid(
+            draw, draw(st.floats(-0.0095, -0.0075)), 3e-4, 2, 12)
+    elif command == "transfer":
+        # the grid stays inside [0, v_dd]
+        cfg["v_start_V"], cfg["v_step_V"], cfg["v_stop_V"] = _grid(
+            draw, draw(st.floats(0.0, 0.3)), 0.2, 1, 5)
+        cfg.update(n_per_point=draw(st.integers(1, 20)), sample_interval_s=draw(_INTERVAL))
+    elif command == "gate":
+        cfg.update(i0=draw(_ANY_POSITIVE), sweeps=draw(st.integers(1, 2000)),
+                   burn_in=draw(st.integers(0, 200)), gate=draw(st.sampled_from(["and", "or"])),
+                   clamp_c=draw(st.sampled_from([None, 0, 1])), all_modes=draw(st.booleans()),
+                   activation=draw(st.sampled_from(["ideal", "empirical"])))
+    return cfg
+
+
+@pytest.fixture(scope="module")
+def voltage_export(tmp_path_factory):
+    """20 ms of a fast junction as a voltage export read at 10 uA, no sidecar."""
+    fast = SmtjParams(tau_mean=68.9e-6)
+    trace = sample_trajectory(fast, fast.b_5050, 0.02, 2e-6, seed=35)
+    path = tmp_path_factory.mktemp("export") / "scope.csv"
+    times = np.arange(len(trace)) * trace.sample_interval
+    np.savetxt(path, np.column_stack([times, trace.values * 1e-5]), fmt="%.12g",
+               delimiter=",", header="time_s,voltage_V", comments="")
+    return str(path)
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+@settings(max_examples=20, deadline=None, phases=[Phase.generate])
+@given(data=st.data())
+def test_in_range_config_runs_or_exits_3(voltage_export, command, data):
+    cfg = data.draw(_in_range_config(command))
+    defaults = cli._COMMANDS[command][0]
+    assert set(cfg) >= {k for k in defaults if k in cli._POSITIVE or k in cli._AT_LEAST}
+    if cfg.get("input_trace"):
+        cfg["input_trace"] = voltage_export
+    with tempfile.TemporaryDirectory() as tmp, \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        out = Path(tmp) / "out"
+        config = Path(tmp) / "cfg.json"
+        config.write_text(json.dumps({**cfg, "out_dir": str(out)}))
+        code = main([command, "--config", str(config)])
+        assert code in (0, 3), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        assert out.exists() == (code == 0)
+        if code == 0:
+            for f in out.iterdir():
+                if f.suffix != ".svg":
+                    assert not re.search(r"\bnan\b|NaN|\binf", f.read_text()), f.name
+
+
+# Values inside their own bounds that overflow a sample or dwell count, or for
+# i0 the state energies: each exits 3 with one line, not a traceback or NaN
+# probabilities.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["smtj-trace", "--duration-s", 1, "--dt-s", 5e-324],
+        ["field-sweep", "--point-duration-s", 1, "--dt-s", 5e-324],
+        ["transfer", "--sample-interval-s", 1.7e308],
+        ["transfer", "--n-per-point", 1, "--sample-interval-s", 1e306],
+        ["gate", "--i0", 1e308, "--sweeps", 10],
+    ],
+)
+def test_overflowing_count_exits_3(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert run(*argv, "--out-dir", out) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("pbitsim: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 _HEADERS = ["time_s,resistance_ohm", "time_s,resistance_ohm,state", "time_s,voltage_V",
