@@ -152,13 +152,17 @@ def threshold_states(trace: TelegraphTrace) -> tuple[LevelEstimate, TelegraphTra
         thr = new
 
     mask = x >= thr
-    ss_low = float(((x[~mask] - m_low) ** 2).sum())
-    ss_high = float(((x[mask] - m_high) ** 2).sum())
-    pooled = np.sqrt((ss_low + ss_high) / (n - 2))
-    if (m_high - m_low) < 4.0 * pooled:
-        raise UnimodalTrace(
-            f"level gap {m_high - m_low:.4g} under 4x pooled sigma {pooled:.4g}"
-        )
+    gap = m_high - m_low
+    # deviations in units of the gap, so a trace near the largest double does
+    # not overflow their squares; the test reads gap < 4 * pooled sigma
+    ss = 0.0
+    for dev, level in ((x[~mask], m_low), (x[mask], m_high)):
+        dev -= level  # a copy: boolean indexing
+        dev /= gap
+        ss += float(dev @ dev)
+    pooled = np.sqrt(ss / (n - 2))
+    if 1.0 < 4.0 * pooled:
+        raise UnimodalTrace(f"level gap {gap:.4g} under 4x pooled sigma {pooled * gap:.4g}")
     levels = LevelEstimate(r_low=m_low, r_high=m_high, threshold=0.5 * (m_low + m_high))
     labels = (x >= levels.threshold).astype(np.uint8)
     labeled = TelegraphTrace(

@@ -11,20 +11,23 @@ class of a graph colouring at a time, is still exact Gibbs sampling (Aadit
 et al., Nat. Electron. 5, 460, 2022); updating coupled nodes simultaneously
 is not, so only sequential sweeps are offered.
 
-For circuits with at most 7 free nodes gibbs_run never evaluates the
-activation inside the chain.  Clamped bits never change, so words are
-indexed by the nf free nodes alone, and the clamped bits are added back
-when the histogram is written.  It tabulates the update probability of
-every free node in every free word once, turns each sweep's random
-permutation and uniform draws into a map free word -> free word over all
-2**nf words, and finds the word after every sweep by composing those maps:
-maps are built word-major, one row per word along a few thousand sweeps, so
-each numpy operation runs along the sweeps, and the walk composes sweeps
-pairwise in integer gathers instead of stepping through them in Python.
-That is the same chain with the same draws as updating node by node, which
-circuits with more free nodes still do: building a map costs work in
-proportion to 2**nf, and at 8 free nodes the maps measured slower than the
-loop with the ideal tanh.
+Clamped bits never change, so below 8 free nodes gibbs_run indexes words by
+the nf free nodes alone, adds the clamped bits back when the histogram is
+written, and tabulates the update probability of every free node in every
+free word once (_free_words) rather than in the chain.  It samples by one of
+three paths, each the same chain with the same draws as the others:
+
+- two free nodes (every clamped 3-node gate): an update reads only the
+  other free bit, so one sweep is an affine map over GF(2) of the bit its
+  second node held, and a block of sweeps is a first-order recurrence that
+  a doubling scan solves (_gibbs_pair);
+- one or 3-7 free nodes: each sweep's permutation and draws become a map
+  free word -> free word over all 2**nf words, built word-major so that
+  each numpy operation runs along the sweeps, and the walk composes sweeps
+  pairwise in integer gathers (_gibbs_maps);
+- more free nodes: node by node (_gibbs_loop), since building a map costs
+  work in proportion to 2**nf, and at 8 free nodes the maps measured slower
+  than the loop with the ideal tanh.
 
 Histogram words follow the convention bit = (m + 1) / 2 with node 0 (A) as
 the most significant bit.
@@ -230,7 +233,8 @@ def gibbs_run(
         raise ValueError("burn_in must be >= 0")
     if not c.free_nodes:
         raise AllClamped("no free node to update")
-    run = _gibbs_maps if len(c.free_nodes) <= _MAP_NODES else _gibbs_loop
+    nf = len(c.free_nodes)
+    run = _gibbs_pair if nf == 2 else _gibbs_maps if nf <= _MAP_NODES else _gibbs_loop
     return run(c, act, n_sweeps, burn_in, seed)
 
 
@@ -246,7 +250,7 @@ def _start(c: PCircuit, seed):
 def _sweep_blocks(rng, nf: int, total: int):
     """Yield (first sweep, update orders, uniform draws) per block of sweeps.
 
-    Both sampling paths draw through here, so they consume the same stream.
+    Every sampling path draws through here, so all consume the same stream.
     The permutation keys, then the draws, fill one buffer allocated once per
     run, so a block's draws are overwritten by the next block's keys.
     """
@@ -309,32 +313,106 @@ def _local_fields(c: PCircuit):
     return bias, rows
 
 
-def _gibbs_maps(c: PCircuit, act, n_sweeps: int, burn_in: int, seed) -> StateHistogram:
-    """gibbs_run by per-sweep maps over free-node words; bytes, so nf <= 8."""
+def _free_words(c: PCircuit, act):
+    """Full word of every free word, and prob[k, w] = P(free node k high | w).
+
+    Free node k is bit nf - 1 - k of a free word, so free words and the full
+    words they stand for (clamped bits added) sort alike.
+    """
     n, free = c.n, c.free_nodes
     nf = len(free)
-    size = 1 << nf
-    rng, word = _start(c, seed)
-    # Free node k is bit nf - 1 - k of a free word, so free words and the
-    # full words they stand for (clamped bits added) sort alike.
     places = [1 << (n - 1 - node) for node in free]
-    clamped = word & ~sum(places)
+    clamped = sum(1 << (n - 1 - node) for node, value in c.clamps.items() if value > 0)
     full = [
         clamped + sum(p for k, p in enumerate(places) if w >> (nf - 1 - k) & 1)
-        for w in range(size)
+        for w in range(1 << nf)
     ]
-    word = full.index(word)
     bias, rows = _local_fields(c)
-    prob = np.empty((nf, size))
-    for w in range(size):
-        m = [1 if full[w] >> (n - 1 - j) & 1 else -1 for j in range(n)]
+    prob = np.empty((nf, 1 << nf))
+    for w, word in enumerate(full):
+        m = [1 if word >> (n - 1 - j) & 1 else -1 for j in range(n)]
         for k, node in enumerate(free):
-            # the loop's own left-to-right sum, so both paths compare the
+            # the loop's own left-to-right sum, so every path compares the
             # same draws against bit-identical probabilities
             acc = bias[node]
             for j, wt in rows[node]:
                 acc += wt * m[j]
             prob[k, w] = act.prob_high(acc)
+    return full, prob
+
+
+def _histogram(n: int, full: list, counts: np.ndarray) -> StateHistogram:
+    """Histogram of free-word counts, keyed by the full words they stand for."""
+    width = f"0{n}b"
+    return StateHistogram(
+        n=n, counts={format(full[w], width): int(k) for w, k in enumerate(counts) if k}
+    )
+
+
+def _gibbs_pair(c: PCircuit, act, n_sweeps: int, burn_in: int, seed) -> StateHistogram:
+    """gibbs_run for exactly two free nodes, by a scan over GF(2) per block.
+
+    Sweep s updates free node a = perms[s, 0], then the other, b.  An update
+    reads only the other free bit r (J has a zero diagonal), so with u its
+    draw it sets its bit to [u < p(r)] = alpha * r ^ beta, where beta =
+    [u < p(0)] and alpha = beta ^ [u < p(1)].  From b's bit x before the
+    sweep, a ends at alpha0 * x ^ beta0 and b at g * x ^ h, with g = alpha1 *
+    alpha0 and h = alpha1 * beta0 ^ beta1.  The next sweep's b is this one's
+    b or a, so x_{s+1} = gamma_s * x_s ^ delta_s over GF(2): x restarts at
+    delta where gamma = 0 and otherwise flips where delta = 1.  A Hillis-
+    Steele scan solves it: step j composes each sweep's map x -> gamma * x ^
+    delta with the one 2**j sweeps before, and the scan stops once every
+    composed map holds a restart, so is constant: about 2.5 steps per block
+    on the clamped gates, and at most 14.  Same draws and comparisons as the
+    node loop.
+    """
+    full, prob = _free_words(c, act)
+    rng, word = _start(c, seed)
+    word = full.index(word)
+    # p_k(r) = p[k][r]: free node 0 reads bit 0 of a free word, node 1 bit 1
+    p = [[prob[0, 0], prob[0, 1]], [prob[1, 0], prob[1, 2]]]
+    counts = np.zeros(4, dtype=np.int64)
+    for done, perms, draws in _sweep_blocks(rng, 2, burn_in + n_sweeps):
+        flip = perms[:, 0] == 1  # a = 1, b = 0
+        u, v = draws.T.copy()
+        beta0 = _pick(flip, u < p[0][0], u < p[1][0])
+        alpha0 = beta0 ^ _pick(flip, u < p[0][1], u < p[1][1])
+        beta1 = _pick(flip, v < p[1][0], v < p[0][0])
+        alpha1 = beta1 ^ _pick(flip, v < p[1][1], v < p[0][1])
+        g = alpha1 & alpha0
+        h = (alpha1 & beta0) ^ beta1
+        x0 = word >> int(perms[0, 0]) & 1 == 1  # b's bit in the carried word
+        # the next sweep's b is this sweep's b, (gamma, delta) = (g, h), or
+        # its a, (alpha0, beta0); x holds delta until the scan solves it
+        same = flip[1:] == flip[:-1]
+        x = np.concatenate(([x0], _pick(same, beta0[:-1], h[:-1])))
+        gamma = np.concatenate(([False], _pick(same, alpha0[:-1], g[:-1])))
+        k = 1
+        while gamma.any():
+            x[k:] ^= gamma[k:] & x[:-k]
+            gamma[k:] &= gamma[:-k]
+            k *= 2
+        bit_a = (alpha0 & x) ^ beta0
+        bit_b = (g & x) ^ h
+        high = _pick(flip, bit_a, bit_b)  # free node 0 is the high bit
+        words = high.view(np.uint8) << 1 | (high ^ bit_a ^ bit_b).view(np.uint8)
+        word = int(words[-1])
+        counts += np.bincount(words[max(burn_in - done, 0) :], minlength=4)
+    return _histogram(c.n, full, counts)
+
+
+def _pick(mask: np.ndarray, no: np.ndarray, yes: np.ndarray) -> np.ndarray:
+    """yes where mask, else no, on bool arrays: np.where without its cost."""
+    return no ^ (mask & (no ^ yes))
+
+
+def _gibbs_maps(c: PCircuit, act, n_sweeps: int, burn_in: int, seed) -> StateHistogram:
+    """gibbs_run by per-sweep maps over free-node words; bytes, so nf <= 8."""
+    nf = len(c.free_nodes)
+    size = 1 << nf
+    full, prob = _free_words(c, act)
+    rng, word = _start(c, seed)
+    word = full.index(word)
     prob = prob.ravel()  # prob[k * size + w]
     bits = (1 << np.arange(nf - 1, -1, -1)).astype(np.uint8)
     identity = np.arange(size, dtype=np.uint8)[:, None]
@@ -365,10 +443,7 @@ def _gibbs_maps(c: PCircuit, act, n_sweeps: int, burn_in: int, seed) -> StateHis
             visited = _walk(maps, word)
             word = int(visited[-1])
             counts += np.bincount(visited[max(burn_in - done - first, 0):], minlength=size)
-    width = f"0{n}b"
-    return StateHistogram(
-        n=n, counts={format(full[w], width): int(k) for w, k in enumerate(counts) if k}
-    )
+    return _histogram(c.n, full, counts)
 
 
 def _walk(maps: np.ndarray, word: int) -> np.ndarray:

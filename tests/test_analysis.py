@@ -81,6 +81,22 @@ class TestThresholdStates:
         mislabel = np.mean(labeled.labels != truth)
         assert mislabel < 1e-3
 
+    def test_gap_check_holds_near_largest_double(self):
+        # deviations of 1e298 ohm would overflow if squared unscaled
+        tr = sample_trajectory(SLOW, SLOW.b_5050, 1.0, 1e-4, seed=2)
+        blurred, truth = noisy(tr, 20.0, seed=5)
+        scaled = TelegraphTrace(tr.sample_interval, blurred.values * 1e300)
+        levels, labeled = threshold_states(scaled)
+        assert levels.r_low == pytest.approx(27600e300, rel=1e-3)
+        assert levels.r_high == pytest.approx(31602e300, rel=1e-3)
+        assert np.array_equal(labeled.labels, truth)
+
+    def test_gaussian_unimodal_rejected_near_largest_double(self):
+        rng = np.random.default_rng(0)
+        blur = TelegraphTrace(1e-4, (27600.0 + rng.normal(0, 300, 5000)) * 1e300)
+        with pytest.raises(UnimodalTrace, match="pooled sigma [0-9]"):
+            threshold_states(blur)
+
     def test_requires_100_samples(self):
         short = TelegraphTrace(1e-4, np.tile([1.0, 2.0], 10))
         with pytest.raises(ValueError):

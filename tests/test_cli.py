@@ -69,6 +69,23 @@ PINNED_OUTPUTS = {
             "sigmoid.json": "53a47d7ea156cb74ba3486063db3ea07c9b3774a5ebbed60d4636f9ad5c16237",
         },
     ),
+    "gate-all-modes": (
+        ["gate", "--all-modes", "--seed", 1, "--sweeps", 20_000],
+        {
+            "and_c0_histogram.csv": "1b291c406215d2f895b49a1957ed9810d18044f98991c40704c4b80599cc37e9",
+            "and_c0_oracle.csv": "c993f32e1cbaa56fc99ffdf0fb9f07b7ffc9eee469a721ffa6ff4921133b7128",
+            "and_c0_summary.json": "879621744194bc62f84fdb25fc890288de103a42d5ed356f7c6242425e6ea732",
+            "and_c1_histogram.csv": "2d739133c1e389a29e462e38c06b013d3b32a612aac309d2f2f07bc681febb4f",
+            "and_c1_oracle.csv": "84d482152f91e1c42e87b588c5ee685ff1f7bda1954b112afb412a4c99c40242",
+            "and_c1_summary.json": "a2d34cb19e5f0ecaae602b2b46bf4cc9526411c3fb3542ee2caa2f7d3f79f2d2",
+            "or_c0_histogram.csv": "cf12c760417c65248efb79704fc5d07e693f68d5c4c17fa7c43192aacd4ff4b0",
+            "or_c0_oracle.csv": "688b9c760c43912e58806c0abb90a22a0a145afcd240836a00bdd45064a457e2",
+            "or_c0_summary.json": "7b99e656d54667b2a74338ddd4eacfddfa065e26555c5d2196182cbd7e273eab",
+            "or_c1_histogram.csv": "72ebb935e2ddfacc07e3df81551c3fd7d4159eabdb92af0f48262c92a723a6d1",
+            "or_c1_oracle.csv": "471f9e63a7dea9b33162af360f79382544d84b99ebf62f3b9157a7cc3b114e28",
+            "or_c1_summary.json": "572c0c936e0da183db63d08af4a1b63673b8383b704d72e8bfa6c5d3ca2df7d7",
+        },
+    ),
     "gate-empirical": (
         ["gate", "--activation", "empirical", "--clamp-c", 1, "--seed", 1, "--sweeps", 20_000],
         {

@@ -22,6 +22,7 @@ from pbitsim.pcircuit import (
     _SWEEP_BLOCK,
     _gibbs_loop,
     _gibbs_maps,
+    _gibbs_pair,
     _isotonic,
     _orders,
     _walk,
@@ -284,15 +285,19 @@ def random_circuit(n, clamps, seed):
 
 
 @st.composite
-def small_circuits(draw):
-    n = draw(st.integers(1, 8))
+def small_circuits(draw, free=None):
+    """Circuits of up to 8 nodes; with free set, all other nodes are clamped."""
+    n = draw(st.integers(free or 1, 8))
     weights = st.floats(-2.0, 2.0, allow_nan=False).map(lambda x: round(x, 3))
     j = np.zeros((n, n))
     for a in range(n):
         for b in range(a + 1, n):
             j[a, b] = j[b, a] = draw(weights)
     h = np.array([draw(weights) for _ in range(n)])
-    clamped = draw(st.sets(st.integers(0, n - 1), max_size=n - 1))
+    if free is None:
+        clamped = draw(st.sets(st.integers(0, n - 1), max_size=n - 1))
+    else:
+        clamped = draw(st.permutations(range(n)))[free:]
     clamps = {node: draw(st.sampled_from((-1, 1))) for node in clamped}
     i0 = draw(st.floats(0.1, 3.0))
     return PCircuit(j=j, h=h, i0=i0, clamps=clamps)
@@ -322,6 +327,52 @@ class TestSamplingPaths:
         loop = _gibbs_loop(c, act, n_sweeps, burn_in, seed)
         assert maps == loop
         assert maps.total == n_sweeps
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        c=small_circuits(free=2),
+        act=st.sampled_from((IdealTanh(), TABLE_ACTIVATION)),
+        n_sweeps=st.integers(1, 3000),
+        burn_in=st.sampled_from((0, 1, 17)),
+        seed=st.one_of(
+            st.integers(0, 2**32 - 1),
+            st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 3)).map(np.random.SeedSequence),
+        ),
+    )
+    # burn-in past one block and a run ending inside the third block
+    @example(
+        c=clamp(and_gate(2.0), 2, 1), act=IdealTanh(),
+        n_sweeps=_SWEEP_BLOCK + 11, burn_in=_SWEEP_BLOCK + 3, seed=12,
+    )
+    @example(
+        c=random_circuit(8, clamps={k: (-1) ** k for k in (0, 1, 3, 4, 6, 7)}, seed=5),
+        act=TABLE_ACTIVATION, n_sweeps=2 * _SWEEP_BLOCK + 5, burn_in=_SWEEP_BLOCK + 1,
+        seed=np.random.SeedSequence((4, 1)),
+    )
+    def test_pair_scan_matches_node_updates(self, c, act, n_sweeps, burn_in, seed):
+        pair = _gibbs_pair(c, act, n_sweeps, burn_in, seed)
+        assert pair == _gibbs_loop(c, act, n_sweeps, burn_in, seed)
+        assert pair.total == n_sweeps
+
+    def test_pair_scan_carries_words_across_blocks(self):
+        # twenty block seams, with moderate couplings so that the word carried
+        # over a seam changes what the next block's first sweep does, and a
+        # pair so strongly coupled that a block holds almost no restart
+        pair = PCircuit(j=[[0.0, 3.0], [3.0, 0.0]], h=[0.0, 0.0], i0=3.0)
+        for c in (clamp(or_gate(0.5), 0, 1), random_circuit(3, clamps={1: 1}, seed=9), pair):
+            args = (c, IdealTanh(), 20 * _SWEEP_BLOCK + 7, 3, 8)
+            assert _gibbs_pair(*args) == _gibbs_maps(*args)
+
+    def test_two_free_nodes_take_the_pair_scan(self, monkeypatch):
+        c = clamp(and_gate(2.0), 2, 1)
+        want = _gibbs_loop(c, IdealTanh(), 3000, 10, 41)
+
+        def refuse(*args):
+            raise AssertionError("took the map walk or the node loop")
+
+        monkeypatch.setattr(pcircuit, "_gibbs_maps", refuse)
+        monkeypatch.setattr(pcircuit, "_gibbs_loop", refuse)
+        assert gibbs_run(c, IdealTanh(), 3000, 10, 41) == want
 
     def test_large_circuit_updates_node_by_node(self):
         # eight free nodes: beyond the map walk, so gibbs_run takes the loop path
