@@ -11,21 +11,23 @@ class of a graph colouring at a time, is still exact Gibbs sampling (Aadit
 et al., Nat. Electron. 5, 460, 2022); updating coupled nodes simultaneously
 is not, so only sequential sweeps are offered.
 
-Clamped bits never change, so below 8 free nodes gibbs_run indexes words by
-the nf free nodes alone, adds the clamped bits back when the histogram is
-written, and tabulates the update probability of every free node in every
-free word once (_free_words) rather than in the chain.  It samples by one of
-three paths, each the same chain with the same draws as the others:
+Clamped bits never change, so a run walks only the free word, in which free
+node k is bit nf - 1 - k; free words and the full words they stand for
+(_full_word) sort alike.  Three generators walk it, each the same chain with
+the same draws, and yield (first sweep, free words visited) per block of
+sweeps or map chunk; the pair scan and the maps look update probabilities
+up in one table (_free_words).  gibbs_run alone seeds them (_seeded), cuts
+burn-in, counts the words and keys the counts by full word (_histogram):
 
 - two free nodes (every clamped 3-node gate): an update reads only the
   other free bit, so one sweep is an affine map over GF(2) of the bit its
   second node held, and a block of sweeps is a first-order recurrence that
-  a doubling scan solves (_gibbs_pair);
+  a doubling scan solves (_pair_words);
 - one or 3-7 free nodes: each sweep's permutation and draws become a map
   free word -> free word over all 2**nf words, built word-major so that
   each numpy operation runs along the sweeps, and the walk composes sweeps
-  pairwise in integer gathers (_gibbs_maps);
-- more free nodes: node by node (_gibbs_loop), since building a map costs
+  pairwise in integer gathers (_map_words);
+- more free nodes: node by node (_loop_words), since building a map costs
   work in proportion to 2**nf, and at 8 free nodes the maps measured slower
   than the loop with the ideal tanh.
 
@@ -225,26 +227,33 @@ def gibbs_run(
 
     Free nodes start uniformly at random; every sweep updates them in a fresh
     random permutation and one full word is recorded per sweep after burn_in.
-    Deterministic for a given seed.
+    Deterministic for a given seed.  Counts are held for all 2**nf free
+    words, so at most ENUMERATION_LIMIT free nodes are sampled (about 8 MB
+    of counts); more raise TooLarge before anything is drawn.
     """
     if n_sweeps < 1:
         raise ValueError("n_sweeps must be >= 1")
     if burn_in < 0:
         raise ValueError("burn_in must be >= 0")
-    if not c.free_nodes:
-        raise AllClamped("no free node to update")
     nf = len(c.free_nodes)
-    run = _gibbs_pair if nf == 2 else _gibbs_maps if nf <= _MAP_NODES else _gibbs_loop
-    return run(c, act, n_sweeps, burn_in, seed)
+    if not nf:
+        raise AllClamped("no free node to update")
+    if nf > ENUMERATION_LIMIT:
+        raise TooLarge(f"{nf} free nodes exceed the {ENUMERATION_LIMIT}-node sampling limit")
+    walk = _pair_words if nf == 2 else _map_words if nf <= _MAP_NODES else _loop_words
+    counts = np.zeros(1 << nf, dtype=np.int64)
+    for done, words in walk(c, act, *_seeded(nf, seed, burn_in + n_sweeps)):
+        counts += np.bincount(words[max(burn_in - done, 0) :], minlength=1 << nf)
+    return _histogram(c, counts)
 
 
-def _start(c: PCircuit, seed):
-    """Generator and initial word of a run: clamped bits set, free bits drawn."""
+def _seeded(nf: int, seed, total: int):
+    """Start free word and sweep blocks of a run: free bits drawn, then sweeps."""
     rng = np.random.default_rng(seed)
-    word = sum(1 << (c.n - 1 - node) for node, value in c.clamps.items() if value > 0)
-    for node, bit in zip(c.free_nodes, rng.integers(0, 2, len(c.free_nodes))):
-        word |= int(bit) << (c.n - 1 - node)
-    return rng, word
+    word = 0
+    for bit in rng.integers(0, 2, nf):
+        word = word << 1 | int(bit)
+    return word, _sweep_blocks(rng, nf, total)
 
 
 def _sweep_blocks(rng, nf: int, total: int):
@@ -313,24 +322,28 @@ def _local_fields(c: PCircuit):
     return bias, rows
 
 
-def _free_words(c: PCircuit, act):
-    """Full word of every free word, and prob[k, w] = P(free node k high | w).
-
-    Free node k is bit nf - 1 - k of a free word, so free words and the full
-    words they stand for (clamped bits added) sort alike.
-    """
+def _full_word(c: PCircuit, w: int) -> int:
+    """Full word that free word w stands for: free node k is bit nf - 1 - k."""
     n, free = c.n, c.free_nodes
-    nf = len(free)
-    places = [1 << (n - 1 - node) for node in free]
-    clamped = sum(1 << (n - 1 - node) for node, value in c.clamps.items() if value > 0)
-    full = [
-        clamped + sum(p for k, p in enumerate(places) if w >> (nf - 1 - k) & 1)
-        for w in range(1 << nf)
-    ]
+    word = sum(1 << (n - 1 - node) for node, value in c.clamps.items() if value > 0)
+    for k, node in enumerate(free):
+        word |= (w >> (len(free) - 1 - k) & 1) << (n - 1 - node)
+    return word
+
+
+def _bipolar(c: PCircuit, w: int) -> list:
+    """State vector m of the circuit at free word w."""
+    word = _full_word(c, w)
+    return [1 if word >> (c.n - 1 - j) & 1 else -1 for j in range(c.n)]
+
+
+def _free_words(c: PCircuit, act) -> np.ndarray:
+    """prob[k, w] = P(free node k high | free word w)."""
+    free = c.free_nodes
     bias, rows = _local_fields(c)
-    prob = np.empty((nf, 1 << nf))
-    for w, word in enumerate(full):
-        m = [1 if word >> (n - 1 - j) & 1 else -1 for j in range(n)]
+    prob = np.empty((len(free), 1 << len(free)))
+    for w in range(1 << len(free)):
+        m = _bipolar(c, w)
         for k, node in enumerate(free):
             # the loop's own left-to-right sum, so every path compares the
             # same draws against bit-identical probabilities
@@ -338,19 +351,20 @@ def _free_words(c: PCircuit, act):
             for j, wt in rows[node]:
                 acc += wt * m[j]
             prob[k, w] = act.prob_high(acc)
-    return full, prob
+    return prob
 
 
-def _histogram(n: int, full: list, counts: np.ndarray) -> StateHistogram:
+def _histogram(c: PCircuit, counts: np.ndarray) -> StateHistogram:
     """Histogram of free-word counts, keyed by the full words they stand for."""
-    width = f"0{n}b"
+    width = f"0{c.n}b"
+    words = np.flatnonzero(counts).tolist()
     return StateHistogram(
-        n=n, counts={format(full[w], width): int(k) for w, k in enumerate(counts) if k}
+        n=c.n, counts={format(_full_word(c, w), width): int(counts[w]) for w in words}
     )
 
 
-def _gibbs_pair(c: PCircuit, act, n_sweeps: int, burn_in: int, seed) -> StateHistogram:
-    """gibbs_run for exactly two free nodes, by a scan over GF(2) per block.
+def _pair_words(c: PCircuit, act, word: int, blocks):
+    """Free words of exactly two free nodes, by a scan over GF(2) per block.
 
     Sweep s updates free node a = perms[s, 0], then the other, b.  An update
     reads only the other free bit r (J has a zero diagonal), so with u its
@@ -366,13 +380,10 @@ def _gibbs_pair(c: PCircuit, act, n_sweeps: int, burn_in: int, seed) -> StateHis
     on the clamped gates, and at most 14.  Same draws and comparisons as the
     node loop.
     """
-    full, prob = _free_words(c, act)
-    rng, word = _start(c, seed)
-    word = full.index(word)
+    prob = _free_words(c, act)
     # p_k(r) = p[k][r]: free node 0 reads bit 0 of a free word, node 1 bit 1
     p = [[prob[0, 0], prob[0, 1]], [prob[1, 0], prob[1, 2]]]
-    counts = np.zeros(4, dtype=np.int64)
-    for done, perms, draws in _sweep_blocks(rng, 2, burn_in + n_sweeps):
+    for done, perms, draws in blocks:
         flip = perms[:, 0] == 1  # a = 1, b = 0
         u, v = draws.T.copy()
         beta0 = _pick(flip, u < p[0][0], u < p[1][0])
@@ -397,8 +408,7 @@ def _gibbs_pair(c: PCircuit, act, n_sweeps: int, burn_in: int, seed) -> StateHis
         high = _pick(flip, bit_a, bit_b)  # free node 0 is the high bit
         words = high.view(np.uint8) << 1 | (high ^ bit_a ^ bit_b).view(np.uint8)
         word = int(words[-1])
-        counts += np.bincount(words[max(burn_in - done, 0) :], minlength=4)
-    return _histogram(c.n, full, counts)
+        yield done, words
 
 
 def _pick(mask: np.ndarray, no: np.ndarray, yes: np.ndarray) -> np.ndarray:
@@ -406,17 +416,13 @@ def _pick(mask: np.ndarray, no: np.ndarray, yes: np.ndarray) -> np.ndarray:
     return no ^ (mask & (no ^ yes))
 
 
-def _gibbs_maps(c: PCircuit, act, n_sweeps: int, burn_in: int, seed) -> StateHistogram:
-    """gibbs_run by per-sweep maps over free-node words; bytes, so nf <= 8."""
+def _map_words(c: PCircuit, act, word: int, blocks):
+    """Free words by per-sweep maps over free-node words; bytes, so nf <= 8."""
     nf = len(c.free_nodes)
     size = 1 << nf
-    full, prob = _free_words(c, act)
-    rng, word = _start(c, seed)
-    word = full.index(word)
-    prob = prob.ravel()  # prob[k * size + w]
+    prob = _free_words(c, act).ravel()  # prob[k * size + w]
     bits = (1 << np.arange(nf - 1, -1, -1)).astype(np.uint8)
     identity = np.arange(size, dtype=np.uint8)[:, None]
-    counts = np.zeros(size, dtype=np.int64)
     step = max(1, _MAP_CELLS // size)  # sweeps whose maps are built at once
     # the gather and its index, allocated once: at 2**15 cells they sit at
     # glibc's mmap threshold, and a fresh pair per chunk maps fresh pages.
@@ -424,7 +430,7 @@ def _gibbs_maps(c: PCircuit, act, n_sweeps: int, burn_in: int, seed) -> StateHis
     # pass and the copy of out that the default mode makes.
     index_buf = np.empty(step * size, dtype=np.intp)
     gathered_buf = np.empty(step * size)
-    for done, perms, draws in _sweep_blocks(rng, nf, burn_in + n_sweeps):
+    for done, perms, draws in blocks:
         for first in range(0, len(draws), step):
             chunk = slice(first, first + step)
             sweeps = len(draws[chunk])
@@ -442,8 +448,7 @@ def _gibbs_maps(c: PCircuit, act, n_sweeps: int, burn_in: int, seed) -> StateHis
                 maps = (maps & ~bit) | (bit * high)
             visited = _walk(maps, word)
             word = int(visited[-1])
-            counts += np.bincount(visited[max(burn_in - done - first, 0):], minlength=size)
-    return _histogram(c.n, full, counts)
+            yield done + first, visited
 
 
 def _walk(maps: np.ndarray, word: int) -> np.ndarray:
@@ -470,18 +475,17 @@ def _walk(maps: np.ndarray, word: int) -> np.ndarray:
     return visited
 
 
-def _gibbs_loop(c: PCircuit, act, n_sweeps: int, burn_in: int, seed) -> StateHistogram:
-    """gibbs_run node update by node update; runs circuits of any size."""
-    n, free = c.n, c.free_nodes
-    rng, word = _start(c, seed)
-    bit_flip = [1 << (n - 1 - i) for i in range(n)]
-    m = [1 if word & bit_flip[i] else -1 for i in range(n)]
+def _loop_words(c: PCircuit, act, word: int, blocks):
+    """Free words node update by node update; builds nothing over 2**nf words."""
+    free = c.free_nodes
+    masks = [1 << (len(free) - 1 - k) for k in range(len(free))]
+    m = _bipolar(c, word)
     # Python-level caches keep the inner loop free of numpy scalar overhead.
     bias, rows = _local_fields(c)
     prob = act.prob_high
-    counts: dict[int, int] = {}
-    for done, perms, draws in _sweep_blocks(rng, len(free), burn_in + n_sweeps):
-        for s, (perm, row_draws) in enumerate(zip(perms.tolist(), draws.tolist())):
+    for done, perms, draws in blocks:
+        words = []
+        for perm, row_draws in zip(perms.tolist(), draws.tolist()):
             for slot, k in enumerate(perm):
                 node = free[k]
                 acc = bias[node]
@@ -490,11 +494,9 @@ def _gibbs_loop(c: PCircuit, act, n_sweeps: int, burn_in: int, seed) -> StateHis
                 new = 1 if row_draws[slot] < prob(acc) else -1
                 if new != m[node]:
                     m[node] = new
-                    word ^= bit_flip[node]
-            if done + s >= burn_in:
-                counts[word] = counts.get(word, 0) + 1
-    width = f"0{n}b"
-    return StateHistogram(n=n, counts={format(w, width): v for w, v in sorted(counts.items())})
+                    word ^= masks[k]
+            words.append(word)
+        yield done, np.array(words)
 
 
 def boltzmann_exact(c: PCircuit) -> dict:
@@ -558,21 +560,6 @@ def clamp(c: PCircuit, node: int, value: int) -> PCircuit:
     clamps = dict(c.clamps)
     clamps[node] = 2 * value - 1
     return PCircuit(j=c.j, h=c.h, i0=c.i0, clamps=clamps)
-
-
-def merge_histograms(histograms) -> StateHistogram:
-    """Combine histograms from independent runs; associative and commutative."""
-    histograms = list(histograms)
-    if not histograms:
-        raise ValueError("nothing to merge")
-    n = histograms[0].n
-    if any(h.n != n for h in histograms):
-        raise ValueError("histograms describe different node counts")
-    counts: dict[str, int] = {}
-    for h in histograms:
-        for word, c in h.counts.items():
-            counts[word] = counts.get(word, 0) + c
-    return StateHistogram(n=n, counts=dict(sorted(counts.items())))
 
 
 def compare_to_oracle(hist: StateHistogram, exact: dict) -> float:

@@ -2,6 +2,7 @@ import io
 import itertools
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from pbitsim import pcircuit
 from pbitsim.device import InverterParams, PbitParams, calibrate_match, transfer_curve
 from pbitsim.pcircuit import (
+    ENUMERATION_LIMIT,
     AllClamped,
     EmpiricalActivation,
     IdealTanh,
@@ -20,18 +22,19 @@ from pbitsim.pcircuit import (
     _MAP_CELLS,
     _MAP_NODES,
     _SWEEP_BLOCK,
-    _gibbs_loop,
-    _gibbs_maps,
-    _gibbs_pair,
+    _histogram,
     _isotonic,
+    _loop_words,
+    _map_words,
     _orders,
+    _pair_words,
+    _seeded,
     _walk,
     and_gate,
     boltzmann_exact,
     clamp,
     compare_to_oracle,
     gibbs_run,
-    merge_histograms,
     or_gate,
     word_from_state,
 )
@@ -213,21 +216,18 @@ class TestGibbsRun:
                         # Unclamped at i0=2 the chain hops between the four
                         # degenerate wells only ~1e3 times per 1e6 sweeps, so
                         # a single run leaves ~0.03 of occupancy noise.
-                        # Independent chains merge to reach the 0.02 bound.
-                        hist = merge_histograms(
-                            gibbs_run(c, IdealTanh(), 1_000_000, burn_in=500, seed=s)
-                            for s in range(6)
-                        )
+                        # Independent chains pool to reach the 0.02 bound.
+                        sweeps, seeds = 1_000_000, range(6)
                     elif clamp_value is None and i0 == 1.0:
-                        hist = merge_histograms(
-                            gibbs_run(c, IdealTanh(), 300_000, burn_in=500, seed=s)
-                            for s in range(4)
-                        )
+                        sweeps, seeds = 300_000, range(4)
                     else:
-                        hist = gibbs_run(
-                            c, IdealTanh(), 300_000, burn_in=500,
-                            seed=(7 if clamp_value is None else clamp_value),
+                        sweeps, seeds = 300_000, [7 if clamp_value is None else clamp_value]
+                    counts = Counter()
+                    for s in seeds:
+                        counts.update(
+                            gibbs_run(c, IdealTanh(), sweeps, burn_in=500, seed=s).counts
                         )
+                    hist = StateHistogram(n=3, counts=dict(counts))
                     l1 = compare_to_oracle(hist, boltzmann_exact(c))
                     assert l1 < 0.02, (make.__name__, i0, clamp_value, l1)
 
@@ -303,6 +303,23 @@ def small_circuits(draw, free=None):
     return PCircuit(j=j, h=h, i0=i0, clamps=clamps)
 
 
+def stream(walk, c, act, total, seed):
+    """The free words one path visits in a run of total sweeps, sweep by sweep."""
+    word, blocks = _seeded(len(c.free_nodes), seed, total)
+    words = []
+    for first, chunk in walk(c, act, word, blocks):
+        assert first == len(words)
+        words.extend(chunk.tolist())
+    assert len(words) == total
+    return words
+
+
+def loop_histogram(c, act, n_sweeps, burn_in, seed):
+    """gibbs_run's histogram, counted from the node loop's words after burn-in."""
+    words = stream(_loop_words, c, act, burn_in + n_sweeps, seed)[burn_in:]
+    return _histogram(c, np.bincount(words, minlength=1 << len(c.free_nodes)))
+
+
 class TestSamplingPaths:
     @settings(max_examples=25, deadline=None)
     @given(
@@ -323,10 +340,8 @@ class TestSamplingPaths:
         n_sweeps=2500, burn_in=17, seed=7,
     )
     def test_map_walk_matches_node_updates(self, c, act, n_sweeps, burn_in, seed):
-        maps = _gibbs_maps(c, act, n_sweeps, burn_in, seed)
-        loop = _gibbs_loop(c, act, n_sweeps, burn_in, seed)
-        assert maps == loop
-        assert maps.total == n_sweeps
+        total = burn_in + n_sweeps
+        assert stream(_map_words, c, act, total, seed) == stream(_loop_words, c, act, total, seed)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -350,9 +365,8 @@ class TestSamplingPaths:
         seed=np.random.SeedSequence((4, 1)),
     )
     def test_pair_scan_matches_node_updates(self, c, act, n_sweeps, burn_in, seed):
-        pair = _gibbs_pair(c, act, n_sweeps, burn_in, seed)
-        assert pair == _gibbs_loop(c, act, n_sweeps, burn_in, seed)
-        assert pair.total == n_sweeps
+        total = burn_in + n_sweeps
+        assert stream(_pair_words, c, act, total, seed) == stream(_loop_words, c, act, total, seed)
 
     def test_pair_scan_carries_words_across_blocks(self):
         # twenty block seams, with moderate couplings so that the word carried
@@ -360,18 +374,18 @@ class TestSamplingPaths:
         # pair so strongly coupled that a block holds almost no restart
         pair = PCircuit(j=[[0.0, 3.0], [3.0, 0.0]], h=[0.0, 0.0], i0=3.0)
         for c in (clamp(or_gate(0.5), 0, 1), random_circuit(3, clamps={1: 1}, seed=9), pair):
-            args = (c, IdealTanh(), 20 * _SWEEP_BLOCK + 7, 3, 8)
-            assert _gibbs_pair(*args) == _gibbs_maps(*args)
+            args = (c, IdealTanh(), 20 * _SWEEP_BLOCK + 10, 8)
+            assert stream(_pair_words, *args) == stream(_map_words, *args)
 
     def test_two_free_nodes_take_the_pair_scan(self, monkeypatch):
         c = clamp(and_gate(2.0), 2, 1)
-        want = _gibbs_loop(c, IdealTanh(), 3000, 10, 41)
+        want = loop_histogram(c, IdealTanh(), 3000, 10, 41)
 
         def refuse(*args):
             raise AssertionError("took the map walk or the node loop")
 
-        monkeypatch.setattr(pcircuit, "_gibbs_maps", refuse)
-        monkeypatch.setattr(pcircuit, "_gibbs_loop", refuse)
+        monkeypatch.setattr(pcircuit, "_map_words", refuse)
+        monkeypatch.setattr(pcircuit, "_loop_words", refuse)
         assert gibbs_run(c, IdealTanh(), 3000, 10, 41) == want
 
     def test_large_circuit_updates_node_by_node(self):
@@ -384,13 +398,51 @@ class TestSamplingPaths:
     def test_map_walk_counts_free_nodes(self, monkeypatch):
         # ten nodes but four free: the maps run over the 16 free-node words
         c = random_circuit(10, clamps={0: 1, 3: -1, 5: 1, 6: 1, 8: -1, 9: -1}, seed=40)
-        want = _gibbs_loop(c, IdealTanh(), 3000, 10, 41)
+        want = loop_histogram(c, IdealTanh(), 3000, 10, 41)
 
         def no_loop(*args):
             raise AssertionError("took the node loop")
 
-        monkeypatch.setattr(pcircuit, "_gibbs_loop", no_loop)
+        monkeypatch.setattr(pcircuit, "_loop_words", no_loop)
         assert gibbs_run(c, IdealTanh(), 3000, 10, 41) == want
+
+    @pytest.mark.parametrize(
+        "c",
+        [clamp(and_gate(1.0), 2, 1), and_gate(1.0), random_circuit(9, clamps={4: 1}, seed=2)],
+        ids=["pair_scan", "map_walk", "node_loop"],  # 2, 3 and 8 free nodes
+    )
+    def test_burn_in_is_cut_once_at_every_seam(self, c):
+        nf = len(c.free_nodes)
+        total = _SWEEP_BLOCK + 5
+        words = stream(_loop_words, c, IdealTanh(), total, 3)
+        chunk = _MAP_CELLS >> nf  # sweeps per map chunk
+        seams = (chunk, _SWEEP_BLOCK)
+        for burn_in in [seam + d for seam in seams for d in (-1, 0, 1)] + [total - 1]:
+            hist = gibbs_run(c, IdealTanh(), total - burn_in, burn_in, 3)
+            assert hist == _histogram(c, np.bincount(words[burn_in:], minlength=1 << nf))
+            assert hist.total == total - burn_in
+
+    def test_free_nodes_past_the_limit_are_refused_before_drawing(self, monkeypatch):
+        n = ENUMERATION_LIMIT + 1
+        big = PCircuit(j=np.zeros((n, n)), h=np.zeros(n), i0=1.0)
+
+        def refuse(*args):
+            raise AssertionError("drew before checking the limit")
+
+        monkeypatch.setattr(pcircuit, "_seeded", refuse)
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooLarge):
+                gibbs_run(big, IdealTanh(), 10, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16  # the counts alone would take 16 MB
+        monkeypatch.undo()
+        # one clamp leaves ENUMERATION_LIMIT free nodes, which still run
+        hist = gibbs_run(clamp(big, 0, 1), IdealTanh(), 5, seed=0)
+        assert hist.total == 5
+        assert all(w[0] == "1" for w in hist.counts)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -439,15 +491,16 @@ class TestSamplingPaths:
         c = PCircuit(j=np.zeros((n, n)), h=np.zeros(n), i0=1.0)
         tracemalloc.start()
         try:
-            _gibbs_maps(c, IdealTanh(), _SWEEP_BLOCK, 0, 1)
+            for _ in _map_words(c, IdealTanh(), *_seeded(n, 1, _SWEEP_BLOCK)):
+                pass
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
 
     def test_pinned_sample_stream(self):
-        # Counts of the node-by-node sampler for this seed; any change to the
-        # draw sequence or to how draws become updates must show up here.
+        # Counts of the pair scan (two free nodes) for this seed; any change to
+        # the draw sequence or to how draws become updates must show up here.
         hist = gibbs_run(
             clamp(and_gate(2.0), 2, 0), IdealTanh(), 50_000, 100,
             seed=np.random.SeedSequence((1, 0)),
@@ -490,17 +543,6 @@ class TestStructures:
             clamp(and_gate(1.0), 5, 1)
         with pytest.raises(ValueError):
             clamp(and_gate(1.0), 2, 2)
-
-    def test_merge_histograms(self):
-        a = StateHistogram(n=2, counts={"00": 3, "01": 1})
-        b = StateHistogram(n=2, counts={"01": 2, "11": 4})
-        merged = merge_histograms([a, b])
-        assert merged.counts == {"00": 3, "01": 3, "11": 4}
-        assert merge_histograms([b, a]) == merged
-        with pytest.raises(ValueError):
-            merge_histograms([a, StateHistogram(n=3, counts={"000": 1})])
-        with pytest.raises(ValueError):
-            merge_histograms([])
 
     def test_histogram_csv_lists_all_words(self):
         hist = gibbs_run(clamp(and_gate(2.0), 2, 1), IdealTanh(), 2000, seed=1)
