@@ -164,15 +164,14 @@ class TelegraphTrace:
     def _csv_rows(self, start: int, stop: int) -> str:
         """The CSV text of rows start .. stop - 1, rendered into a byte matrix."""
         rows = np.zeros((stop - start, _ROW_WIDTH), dtype=np.uint8)
-        left = _render_times(rows, self.sample_interval, start, stop)
+        _render_times(rows, self.sample_interval, start, stop)
         values = self.values[start:stop]
         anti = None if self.labels is None else self.labels[start:stop] != 0
         levels = None if anti is None else _two_levels(values, anti)
         if levels is None:
-            left.append(_render_tails(rows, values, anti))
+            _render_tails(rows, values, anti)
         else:
             rows[:, _TIME_WIDTH:] = _level_tails(*levels).take(anti.view(np.uint8), axis=0)
-        _render_g12_slow(rows, left)
         return rows[rows != 0].tobytes().decode("ascii")
 
 
@@ -194,28 +193,21 @@ _TIME_WIDTH = 20
 _SAMPLE_AT = _TIME_WIDTH + 1
 _ROW_WIDTH = _SAMPLE_AT + _G12_WIDTH + 4
 
-# 10**k for k = 0..15, each exact in float64.
-_POW10 = np.array([float(10**k) for k in range(16)])
-
-# Digit values of 00 .. 99, first digit in the first byte.
-_DIGIT_PAIRS = np.array([k // 10 | k % 10 << 8 for k in range(100)], dtype="<u2")
-
-# _BYTE_MASKS[k] covers the first k bytes of a little-endian uint64.
-_BYTE_MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype="<u8")
-_ASCII_ZEROS = np.uint64(0x3030303030303030)
+# 10**k for k = 0..15; each is exact as a float64 too.
+_POW10 = 10 ** np.arange(16, dtype=np.int64)
 
 
-def _render_g12(x: np.ndarray, cells: np.ndarray) -> np.ndarray:
+def _render_g12(x: np.ndarray, cells: np.ndarray) -> None:
     """Write `%.12g` of x into the rows of cells, a NUL-filled uint8 matrix.
 
-    Renders the values whose 12-digit rounding prints in fixed notation
-    (decimal exponent e in [-4, 11]) and is decided beyond doubt.  The power
-    of ten is exact, so r = |x| * 10**(11 - e) is off by at most half an ulp.
-    When 10**11 <= r and frac(r) is more than two ulps from one half,
-    m = floor(r) + (frac(r) > 0.5) is the correctly rounded mantissa, and
-    m < 10**12 confirms the exponent.  Bytes a cell does not use stay NUL.
-    Returns the indices of every other value (zero, non-finite, exponent
-    form, near a tie); their cells are left all NUL for _render_g12_slow.
+    Values whose 12-digit rounding prints in fixed notation (decimal exponent
+    e in [-4, 11]) and is decided beyond doubt are built from _quad_tables.
+    The power of ten is exact, so r = |x| * 10**(11 - e) is off by at most
+    half an ulp.  When 10**11 <= r and frac(r) is more than two ulps from one
+    half, m = floor(r) + (frac(r) > 0.5) is the correctly rounded mantissa,
+    and m < 10**12 confirms the exponent.  Bytes a cell does not use stay
+    NUL.  Every other value (zero, non-finite, exponent form, near a tie)
+    goes through _render_g12_slow.
     """
     a = np.abs(x)
     with np.errstate(all="ignore"):
@@ -227,29 +219,16 @@ def _render_g12(x: np.ndarray, cells: np.ndarray) -> np.ndarray:
     frac = r - whole
     m = whole.astype(np.int64) + (frac > 0.5)
     ok &= (np.abs(frac - 0.5) > 2 * np.spacing(r)) & (whole >= 10**11) & (m < 10**12)
-    # digit values of the mantissa in bytes 0..11 of two uint64 words per row
-    words = np.zeros((x.size, 2), dtype="<u8")
-    pairs = words.view("<u2")
-    for column, half in enumerate(np.divmod(np.where(ok, m, 10**11), 10**6)):
-        half = half.astype(np.int32)
-        pairs[:, 3 * column] = _DIGIT_PAIRS.take(half // 10**4)
-        pairs[:, 3 * column + 1] = _DIGIT_PAIRS.take(half // 100 % 100)
-        pairs[:, 3 * column + 2] = _DIGIT_PAIRS.take(half % 100)
-    # index of the last nonzero digit, from the top set bit of each word;
-    # digits are at most 9, so the float conversion cannot round a byte up
-    high = (np.frexp(words[:, 1].astype(float))[1] - 1) // 8
-    low = (np.frexp(words[:, 0].astype(float))[1] - 1) // 8
-    last = np.where(high >= 0, 8 + high, low)
-    # ASCII for the integer digits and the digits up to the last nonzero one,
-    # NUL for the trailing zeros of the fraction
-    keep = np.maximum(last, e) + 1
-    words[:, 0] |= _ASCII_ZEROS & _BYTE_MASKS.take(np.minimum(keep, 8))
-    words[:, 1] |= _ASCII_ZEROS & _BYTE_MASKS.take(np.maximum(keep - 8, 0))
-    digits = words.view(np.uint8)[:, :12]
-    point = np.where(last > e, ord("."), 0).astype(np.uint8)
+    m = np.where(ok, m, 10**11)
+    _, quad, _ = _quad_tables()
+    words = np.empty((x.size, 3), dtype="<u4")
+    _digit_words(words, m, (quad, quad, quad))
+    digits = words.view(np.uint8)
+    point = np.where(m % _POW10[11 - e] != 0, ord("."), 0).astype(np.uint8)
     cells[x < 0, 0] = ord("-")
     # lay out the most common exponent on every row, then redo the rows of
-    # the others: e >= 0 puts the point after digit e, e < 0 writes "0.000"
+    # the others: e >= 0 puts the point after digit e (the integer digits
+    # ASCII, their zeros included), e < 0 writes "0.000"
     counts = np.bincount(e[ok] + 4, minlength=16)
     order = np.argsort(-counts, kind="stable")[: np.count_nonzero(counts)]
     for rank, exp in enumerate(order - 4):
@@ -257,7 +236,7 @@ def _render_g12(x: np.ndarray, cells: np.ndarray) -> np.ndarray:
         if rank:
             cells[sel, 1:] = 0
         if exp >= 0:
-            cells[sel, 1 : exp + 2] = digits[sel, : exp + 1]
+            cells[sel, 1 : exp + 2] = digits[sel, : exp + 1] | ord("0")
             cells[sel, exp + 2] = point[sel]
             cells[sel, exp + 3 : 14] = digits[sel, exp + 1 :]
         else:
@@ -265,8 +244,21 @@ def _render_g12(x: np.ndarray, cells: np.ndarray) -> np.ndarray:
             cells[sel, 2] = ord(".")
             cells[sel, 2 - exp : 14 - exp] = digits[sel]
     left = np.flatnonzero(~ok)
-    cells[left] = 0
-    return left
+    if left.size:
+        cells[left] = _render_g12_slow(x[left])
+
+
+def _render_g12_slow(x: np.ndarray) -> np.ndarray:
+    """`%.12g` of each x, one batched format, as the rows of a NUL-padded uint8 matrix."""
+    text = np.frombuffer((("%.12g\n" * x.size) % tuple(x.tolist())).encode("ascii"), np.uint8)
+    ends = np.flatnonzero(text == ord("\n"))
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    # byte i of the text, in cell c, is column i - starts[c] of row c
+    cell = np.repeat(np.arange(x.size), ends - starts + 1)
+    chars = text != ord("\n")
+    out = np.zeros((x.size, _G12_WIDTH), dtype=np.uint8)
+    out[cell[chars], (np.arange(text.size) - starts[cell])[chars]] = text[chars]
+    return out
 
 
 def _decimal_grid(dt: float) -> tuple[int, int] | None:
@@ -285,7 +277,7 @@ def _decimal_grid(dt: float) -> tuple[int, int] | None:
     return digits, places
 
 
-def _render_times(rows: np.ndarray, dt: float, start: int, stop: int) -> list:
+def _render_times(rows: np.ndarray, dt: float, start: int, stop: int) -> None:
     """Write `%.12g` of k * dt for k = start .. stop - 1 into the time cells of rows.
 
     rows is a uint8 matrix of stop - start rows of whole uint32 words, at
@@ -296,7 +288,7 @@ def _render_times(rows: np.ndarray, dt: float, start: int, stop: int) -> list:
     12-digit rounding boundary is at least 5e-13 relative away, so `%.12g`
     prints exactly it; _render_grid writes it from N.  The other rows (k = 0,
     exponent form below 1e-4, N >= 10**12, or dt off the grid) go through
-    _render_g12.  Returns the _render_g12_slow entries of the cells left.
+    _render_g12.
     """
     grid = _decimal_grid(dt)
     first = last = start
@@ -308,14 +300,10 @@ def _render_times(rows: np.ndarray, dt: float, start: int, stop: int) -> list:
         if first < last:
             words = rows[first - start : last - start].view("<u4")
             _render_grid(words, digits, places, first, last)
-    left = []
     for lo, hi in ((start, first), (last, stop)):
         if lo < hi:
             # int64 * float64 rounds exactly as the scalar k * dt
-            x = np.arange(lo, hi) * dt
-            idx = _render_g12(x, rows[lo - start : hi - start, :_G12_WIDTH])
-            left.append((0, idx + (lo - start), x[idx]))
-    return left
+            _render_g12(np.arange(lo, hi) * dt, rows[lo - start : hi - start, :_G12_WIDTH])
 
 
 def _render_grid(words: np.ndarray, digits: int, places: int, start: int, stop: int) -> None:
@@ -336,12 +324,12 @@ def _render_grid(words: np.ndarray, digits: int, places: int, start: int, stop: 
     # run from bounds[j] to bounds[j + 1], and group j is NUL before them
     bounds = [0, *np.searchsorted(whole, [10**4, 10**8]).tolist(), n.size]
     groups = 1 + sum(b < n.size for b in bounds[1:3])
-    full, lead, trail, dot_full, dot_trail = _quad_tables()
+    lead, quad, dot = _quad_tables()
     for j in range(groups):
         quads = whole[bounds[j] :] // 10 ** (4 * j)
         leading, rest = np.split(quads, [bounds[j + 1] - bounds[j]])
         words[bounds[j] : bounds[j + 1], groups - 1 - j] = lead.take(leading)
-        words[bounds[j + 1] :, groups - 1 - j] = full.take(rest - rest // 10**4 * 10**4)
+        words[bounds[j + 1] :, groups - 1 - j] = quad.take(rest - rest // 10**4 * 10**4 + 10**4)
     if not places:
         return
     # the fraction: a point and 3 digits, then groups of 4; on the rows where
@@ -349,27 +337,36 @@ def _render_grid(words: np.ndarray, digits: int, places: int, start: int, stop: 
     # the first word its point, when the whole fraction is zero)
     count = places // 4 + 1
     low = (n - whole * 10**places) * 10 ** (4 * count - 1 - places)
-    for g in range(count):
-        scale = 10 ** (4 * (count - 1 - g))
+    _digit_words(words[:, groups : groups + count], low, (dot,) + (quad,) * (count - 1))
+
+
+def _digit_words(words: np.ndarray, low: np.ndarray, tables: tuple) -> None:
+    """Write the digits of low, 4 to a word from the top, into the columns of words.
+
+    Column g comes from tables[g], a pair of back-to-back tables from
+    _quad_tables: in full where nonzero digits follow it, else with its
+    trailing zeros as NUL.
+    """
+    *heads, last = tables
+    for g, table in enumerate(heads):
+        scale = 10 ** (4 * (len(heads) - g))
         quads = low // scale
         low = low - quads * scale
-        tail = _multiples(digits, places - 4 * g - 3, start, stop)
-        if tail.step > 1:
-            words[:, groups + g] = (dot_full if g == 0 else full).take(quads)
-        words[tail, groups + g] = (dot_trail if g == 0 else trail).take(quads[tail])
+        words[:, g] = table.take(quads + table.size // 2 * (low != 0))
+    words[:, -1] = last.take(low)  # no digits follow the last word
 
 
 @functools.cache
 def _quad_tables() -> tuple:
     """ASCII of the 4-digit groups 0000 .. 9999, as little-endian uint32.
 
-    Returns (full, lead, trail, dot_full, dot_trail), each indexed by the
-    group's value, first digit in the first byte: full with every digit,
-    lead with the leading zeros as NUL (but the last digit, so 0 is three
-    NULs and a "0"), trail with the trailing zeros as NUL (so 0 is all NUL), and
-    dot_full and dot_trail the same for the point and 3 digits, ".000" ..
-    ".999" (dot_trail drops the point of 0).  Built on first use, so that
-    importing the module stays cheap.
+    Returns (lead, quad, dot), first digit in the first byte.  lead[v] is
+    group v with its leading zeros as NUL (but the last digit, so 0 is three
+    NULs and a "0").  quad is two tables back to back: quad[v] is group v
+    with its trailing zeros as NUL (so 0 is all NUL), and quad[10**4 + v]
+    group v in full.  dot is the same pair for a point and 3 digits, ".000"
+    .. ".999", 1000 entries each (dot[0] drops the point too).  Built on
+    first use, so that importing the module stays cheap.
     """
     digits = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T
     text = digits + np.uint8(ord("0"))
@@ -378,30 +375,20 @@ def _quad_tables() -> tuple:
     lead[:, 3] = True
     trail = np.logical_or.accumulate(digits[:, ::-1] != 0, axis=1)[:, ::-1]
     tables = []
-    for chars, keep in [
-        (text, True), (text, lead), (text, trail), (dotted, True), (dotted, trail[:1000])
+    for chars in [
+        np.where(lead, text, 0),
+        np.concatenate([np.where(trail, text, 0), text]),
+        np.concatenate([np.where(trail[:1000], dotted, 0), dotted]),
     ]:
-        tables.append(np.where(keep, chars, 0).reshape(-1).view("<u4"))
+        tables.append(chars.reshape(-1).view("<u4"))
         tables[-1].flags.writeable = False  # shared by every caller
     return tuple(tables)
 
 
-def _multiples(digits: int, exponent: int, start: int, stop: int) -> slice:
-    """The rows k in start .. stop - 1 where k * digits is a multiple of 10**exponent.
-
-    As offsets from start: every period-th k, since k * digits is such a
-    multiple exactly when k is one of 10**exponent / gcd(digits, 10**exponent).
-    """
-    power = 10 ** max(exponent, 0)
-    period = power // math.gcd(digits, power)
-    return slice(-start % period, stop - start, period)
-
-
-def _render_tails(rows: np.ndarray, values: np.ndarray, anti: np.ndarray | None) -> tuple:
+def _render_tails(rows: np.ndarray, values: np.ndarray, anti: np.ndarray | None) -> None:
     """Write each row's ',', sample cell, [',', state cell,] and newline after its time cell.
 
     anti is the row's label (True for AP), or None for no state column.
-    Returns the _render_g12_slow entry of the sample cells _render_g12 left.
     """
     rows[:, _SAMPLE_AT - 1] = ord(",")
     rows[:, -1] = ord("\n")
@@ -410,8 +397,7 @@ def _render_tails(rows: np.ndarray, values: np.ndarray, anti: np.ndarray | None)
         rows[:, -4] = np.where(anti, ord(","), 0)
         rows[:, -3] = np.where(anti, ord("A"), ord(","))
         rows[:, -2] = ord("P")
-    idx = _render_g12(values, rows[:, _SAMPLE_AT : _SAMPLE_AT + _G12_WIDTH])
-    return _SAMPLE_AT, idx, values[idx]
+    _render_g12(values, rows[:, _SAMPLE_AT : _SAMPLE_AT + _G12_WIDTH])
 
 
 def _two_levels(x: np.ndarray, anti: np.ndarray) -> tuple[int, int] | None:
@@ -438,32 +424,11 @@ def _level_tails(low: int, high: int) -> np.ndarray:
     """
     pair = np.zeros((2, _ROW_WIDTH), dtype=np.uint8)
     levels = np.array([low, high], dtype=np.uint64).view(float)
-    _render_g12_slow(pair, [_render_tails(pair, levels, np.array([False, True]))])
+    _render_tails(pair, levels, np.array([False, True]))
     tails = pair[:, _TIME_WIDTH:]
     tails = np.take_along_axis(tails, np.argsort(tails == 0, axis=1, kind="stable"), 1)
     tails.flags.writeable = False  # shared by every caller
     return tails
-
-
-def _render_g12_slow(rows: np.ndarray, left: list) -> None:
-    """Fill the cells _render_g12 left with one batched `%.12g` over all of them.
-
-    rows is the row matrix; left holds (first column of the cell, row
-    indices, values) for each rendered column.
-    """
-    values = [v for _, _, x in left for v in x.tolist()]
-    if not values:
-        return
-    text = ("%.12g\n" * len(values)) % tuple(values)
-    text = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-    ends = np.flatnonzero(text == ord("\n"))
-    starts = np.concatenate(([0], ends[:-1] + 1))
-    dest = np.concatenate([idx * rows.shape[1] + at for at, idx, _ in left])
-    # byte i of the text, in cell c, lands at dest[c] + i - starts[c]
-    cell = np.repeat(np.arange(len(values)), ends - starts + 1)
-    shift = dest - starts
-    chars = text != ord("\n")
-    rows.reshape(-1)[(shift[cell] + np.arange(text.size))[chars]] = text[chars]
 
 
 def r_antiparallel(p: SmtjParams) -> float:

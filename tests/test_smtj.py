@@ -401,6 +401,17 @@ _SAMPLES = st.builds(
     ),
     st.booleans(),
 )
+# Every fixed-notation exponent e times every position p of the last nonzero
+# mantissa digit, in both signs: the point falls after digit e unless p <= e,
+# and the integer digits print their zeros (a mantissa 1, zeros, 6 has them
+# inside as well as after).
+_TRIMS = [
+    sign * float(f"{head}e{e - p}")
+    for e in range(-4, 12)
+    for p in range(12)
+    for head in ("123456789123"[: p + 1], str(10**p + 6))
+    for sign in (1, -1)
+]
 _INTERVALS = st.sampled_from([1e-5, 3.3e-6, 2e-6, 1e-9])
 
 # Sample intervals on a decimal grid, D * 10**-F, their one-ulp neighbours,
@@ -422,6 +433,7 @@ class TestTraceCsvMatchesPerRowWriter:
         assert buf.getvalue() == reference_csv(trace)
 
     @settings(max_examples=300, deadline=None)
+    @example(samples=_TRIMS, dt=1e-5, labeled=True)
     @given(st.lists(_SAMPLES, min_size=1, max_size=300), _INTERVALS, st.booleans())
     def test_arbitrary_samples(self, samples, dt, labeled):
         labels = np.arange(len(samples)) % 3 == 0 if labeled else None
@@ -484,7 +496,7 @@ class TestTraceCsvMatchesPerRowWriter:
 def render_times(dt, start, stop):
     """The time cells _render_times writes for rows start .. stop - 1, as text."""
     rows = np.zeros((stop - start, smtj._TIME_WIDTH), dtype=np.uint8)
-    smtj._render_g12_slow(rows, smtj._render_times(rows, dt, start, stop))
+    smtj._render_times(rows, dt, start, stop)
     return [row[row != 0].tobytes().decode("ascii") for row in rows]
 
 
@@ -544,7 +556,9 @@ class TestTimeCells:
         # integer digits, fit in the 20-byte time cell
         for dt, k in [(1e-12, 999999999999), (1e-15, 999999999999), (1.0, 999999999999)]:
             rows = np.zeros((1, smtj._TIME_WIDTH), dtype=np.uint8)
-            assert smtj._render_times(rows, dt, k, k + 1) == []  # all on the table path
+            with mock.patch.object(smtj, "_render_g12") as general:
+                smtj._render_times(rows, dt, k, k + 1)
+            general.assert_not_called()  # all on the table path
             assert rows[rows != 0].tobytes().decode("ascii") == "%.12g" % (k * dt)
 
 
@@ -630,13 +644,13 @@ class TestTraceCsvThreads:
         calls = []
         lock = threading.Lock()
 
-        def failing(rows, left):
+        def failing(x):
             with lock:
                 calls.append(None)
                 third = len(calls) == 3
             if third:
                 raise error
-            render(rows, left)
+            return render(x)
 
         monkeypatch.setattr(smtj, "_render_g12_slow", failing)
         before = threading.active_count()
