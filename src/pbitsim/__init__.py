@@ -1,13 +1,14 @@
 """Desk-scale simulator of stochastic-MTJ probabilistic bits.
 
-Subpackages cover the telegraph-noise junction model (smtj), trace and sweep
-analysis (analysis), the 3T-1MTJ circuit (device), coupled P-Bit networks
-with an exact Boltzmann oracle (pcircuit), power / throughput bookkeeping
-(metrics) and the command line front end (cli).
+Subpackages cover the parameters and scalar physics (params), the
+telegraph-noise junction model (smtj), trace and sweep analysis (analysis)
+and its least-squares solver (fit), the 3T-1MTJ circuit (device), coupled
+P-Bit networks with an exact Boltzmann oracle (pcircuit), power / throughput
+bookkeeping (metrics) and the command line front end (cli).
 
-The names below load their submodule, and with it NumPy, on first access
-(PEP 562), so `import pbitsim` alone imports neither.  That lets `pbitsim.cli`
-run before NumPy loads and choose its BLAS thread count.
+The names below load their submodule on first access (PEP 562), so
+`import pbitsim` alone imports neither a submodule nor NumPy.  The names of
+params load no NumPy at all; every other submodule but metrics loads it.
 """
 
 import importlib
@@ -24,9 +25,8 @@ _EXPORTS = {
             "mean_dwell_direct", "threshold_states", "tmr_from_levels",
         ],
         "device": [
-            "InverterParams", "NmosParams", "PbitParams", "TransferCurve",
-            "calibrate_match", "drain_voltage", "nmos_resistance", "output_voltage",
-            "sample_output", "transfer_curve",
+            "TransferCurve", "drain_voltage", "output_voltage", "sample_output",
+            "transfer_curve",
         ],
         "metrics": [
             "PerfPoint", "comparison_table", "inverter_dynamic_power",
@@ -37,10 +37,13 @@ _EXPORTS = {
             "and_gate", "boltzmann_exact", "clamp", "compare_to_oracle", "gibbs_run",
             "or_gate",
         ],
+        "params": [
+            "InverterParams", "MtjState", "NmosParams", "PbitParams", "SmtjParams",
+            "calibrate_match", "dwell_times", "nmos_resistance", "occupancy_ap",
+            "r_antiparallel",
+        ],
         "smtj": [
-            "MtjState", "SmtjParams", "TelegraphTrace", "dwell_times", "occupancy_ap",
-            "r_antiparallel", "sample_trajectory", "simulate_field_sweep",
-            "switching_times",
+            "TelegraphTrace", "sample_trajectory", "simulate_field_sweep", "switching_times",
         ],
     }.items()
     for name in names

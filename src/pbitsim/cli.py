@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import re
 import sys
@@ -25,52 +26,67 @@ from pathlib import Path
 # One OpenBLAS thread unless the user chose a count (OpenBLAS reads these
 # three in this order): pbitsim's BLAS calls are fits of 1-4 parameters and
 # one matrix-vector product, and a pool of more threads busy-waits after
-# NumPy's import.  OpenBLAS reads it once, as NumPy loads, so it is set before
-# the imports below, each of which loads NumPy; --jobs workers inherit it.
+# NumPy's import.  OpenBLAS reads it once, as NumPy loads, so it is set here,
+# before any runner imports a module that loads NumPy; --jobs workers
+# inherit it.
 if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & set(os.environ):
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
-import numpy as np
-
 from . import __version__
-from .analysis import (
-    AnalysisError,
-    FieldSweep,
-    LevelEstimate,
-    autocorrelation,
-    bias_sidecar,
-    extract_stochastic_window,
-    fit_dwell_time,
-    load_trace,
-    mean_dwell_direct,
-    threshold_states,
-    tmr_from_levels,
-)
-from .device import (
+from .params import (
     IDEAL_GAIN,
+    AnalysisError,
     InverterParams,
     NmosParams,
     PbitParams,
-    SigmoidFitDiverged,
-    calibrate_match,
-    fit_sigmoid,
-    mixed_region_span,
-    transfer_curve,
-)
-from .metrics import comparison_table, write_perf_csv
-from .pcircuit import (
-    EmpiricalActivation,
-    IdealTanh,
     PCircuitError,
-    and_gate,
-    boltzmann_exact,
-    clamp,
-    compare_to_oracle,
-    gibbs_run,
-    or_gate,
+    SmtjParams,
+    calibrate_match,
+    r_antiparallel,
 )
-from .smtj import SmtjParams, _point_seed, r_antiparallel, sample_trajectory, simulate_field_sweep
-from .svg import bar_svg, line_svg
+
+# The names the runners call from the other modules, by module.  None of
+# them is imported with this module: a runner binds its modules' names here
+# first (_load), and so does looking a name up on this module (__getattr__).
+# So a command imports only what it runs, and --help or a rejected config
+# loads no NumPy.  The runners look the names up here when they call them,
+# so a name set on this module (a test's stub, perfbench's traced wrapper)
+# is the one that runs.
+_LAZY = {
+    "analysis": (
+        "FieldSweep", "LevelEstimate", "autocorrelation", "bias_sidecar",
+        "extract_stochastic_window", "fit_dwell_time", "load_trace", "mean_dwell_direct",
+        "threshold_states", "tmr_from_levels",
+    ),
+    "device": ("SigmoidFitDiverged", "fit_sigmoid", "mixed_region_span", "transfer_curve"),
+    "metrics": ("comparison_table", "write_perf_csv"),
+    "pcircuit": (
+        "EmpiricalActivation", "IdealTanh", "and_gate", "boltzmann_exact", "clamp",
+        "compare_to_oracle", "gibbs_run", "or_gate",
+    ),
+    "smtj": ("_point_seed", "sample_trajectory", "simulate_field_sweep"),
+    "svg": ("bar_svg", "line_svg"),
+}
+
+
+def _load(*modules: str) -> None:
+    """Import modules and bind their _LAZY names here, keeping any already bound."""
+    for module in modules:
+        # the import statement's own path, which -X importtime reports and
+        # importlib.import_module bypasses
+        __import__(f"{__package__}.{module}")
+        loaded = sys.modules[f"{__package__}.{module}"]
+        for name in _LAZY[module]:
+            globals().setdefault(name, getattr(loaded, name))
+
+
+def __getattr__(name: str):
+    module = next((m for m, names in _LAZY.items() if name in names), None)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _load(module)
+    return globals()[name]
+
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -303,12 +319,14 @@ def _grid_count(start: float, stop: float, step: float, name: str) -> int:
     The count is checked before any grid is built: a step far below the span
     would otherwise ask for a list or array of astronomically many points.
     """
-    steps = np.floor((stop - start) / step + 1e-9)
+    steps = (stop - start) / step + 1e-9
+    # floor(steps) < _GRID_POINTS exactly when steps is, and math.floor
+    # raises on inf, so the bound is checked first
     _require(
         steps < _GRID_POINTS,
         f"{name} grid of step {step:g} holds more than {_GRID_POINTS} points",
     )
-    return int(steps) + 1
+    return math.floor(steps) + 1
 
 
 def _smtj_from_cfg(cfg: dict) -> SmtjParams:
@@ -322,6 +340,7 @@ def _smtj_from_cfg(cfg: dict) -> SmtjParams:
 
 
 def cmd_smtj_trace(cfg: dict, given: set) -> dict:
+    _load("analysis", "smtj")
     smtj = _smtj_from_cfg(cfg)
     _require(cfg["duration_s"] >= cfg["dt_s"], "duration_s must cover one sample")
     if cfg["input_trace"] is not None:
@@ -347,9 +366,10 @@ def cmd_smtj_trace(cfg: dict, given: set) -> dict:
 
     files = {"trace.csv": labeled.to_csv}
     if cfg["svg"]:
+        _load("svg")
         stride = max(1, len(labeled) // 4000)
         files["trace.svg"] = line_svg(
-            np.arange(0, len(labeled), stride) * dt,
+            [k * dt for k in range(0, len(labeled), stride)],
             labeled.values[::stride],
             "sMTJ resistance trace",
             "time (s)",
@@ -374,13 +394,14 @@ def cmd_smtj_trace(cfg: dict, given: set) -> dict:
 
 
 def cmd_field_sweep(cfg: dict, given: set) -> dict:
+    _load("analysis", "smtj")
     smtj = _smtj_from_cfg(cfg)
     _require(cfg["b_max_T"] > cfg["b_min_T"], "b_max_T must exceed b_min_T")
     _require(cfg["point_duration_s"] >= cfg["dt_s"], "point_duration_s must cover one sample")
     count = _grid_count(cfg["b_min_T"], cfg["b_max_T"], cfg["b_step_T"], "field")
     _require(count >= 2, "sweep needs at least two field points")
 
-    grid = cfg["b_min_T"] + cfg["b_step_T"] * np.arange(count)
+    grid = [cfg["b_min_T"] + cfg["b_step_T"] * k for k in range(count)]
     points = simulate_field_sweep(
         smtj, grid, cfg["point_duration_s"], cfg["dt_s"], cfg["seed"], jobs=cfg["jobs"]
     )
@@ -391,6 +412,7 @@ def cmd_field_sweep(cfg: dict, given: set) -> dict:
     rows = "".join(f"{b:.12g},{r:.12g}\n" for b, r in points)
     files = {"sweep.csv": "b_T,mean_resistance_ohm\n" + rows}
     if cfg["svg"]:
+        _load("svg")
         files["sweep.svg"] = line_svg(
             [b for b, _ in points],
             [r for _, r in points],
@@ -447,6 +469,7 @@ def _transfer_grid(cfg: dict) -> list:
 
 
 def cmd_transfer(cfg: dict, given: set) -> dict:
+    _load("device")
     p = _pbit_from_cfg(cfg)
     grid = _transfer_grid(cfg)
     b = cfg["b_field_T"] if cfg["b_field_T"] is not None else p.smtj.b_5050
@@ -465,6 +488,7 @@ def cmd_transfer(cfg: dict, given: set) -> dict:
 
     files = {"samples.csv": curve.to_samples_csv, "curve.csv": curve.to_summary_csv}
     if cfg["svg"] and len(grid) >= 2:
+        _load("svg")
         files["curve.svg"] = line_svg(
             curve.v_in, curve.means,
             "P-Bit transfer curve", "v_in (V)", "mean v_out (V)",
@@ -505,6 +529,7 @@ def _default_empirical_activation(seed: int) -> EmpiricalActivation:
 
 
 def cmd_gate(cfg: dict, given: set) -> dict:
+    _load("device", "pcircuit", "smtj")
     if cfg["all_modes"]:
         modes = [("and", 0), ("and", 1), ("or", 0), ("or", 1)]
     else:
@@ -515,6 +540,8 @@ def cmd_gate(cfg: dict, given: set) -> dict:
     else:
         act = _default_empirical_activation(cfg["seed"])
 
+    if cfg["svg"]:
+        _load("svg")
     files = {}
     for mode_index, (gate, clamp_c) in enumerate(modes):
         circuit = and_gate(cfg["i0"]) if gate == "and" else or_gate(cfg["i0"])
@@ -556,6 +583,7 @@ def cmd_gate(cfg: dict, given: set) -> dict:
 
 
 def cmd_metrics(cfg: dict, given: set) -> dict:
+    _load("metrics")
     return {"perf_points.csv": partial(write_perf_csv, comparison_table())}
 
 

@@ -13,73 +13,30 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import FitDiverged, _least_squares
-from .smtj import (
+from .fit import FitDiverged, least_squares
+# The circuit parameters and the scalar resistance and calibration rules live
+# in params, which loads no NumPy; they are re-exported here.
+from .params import (
+    IDEAL_GAIN,
+    NMOS_OFF_RESISTANCE,
+    InverterParams,
     MtjState,
-    SmtjParams,
+    NmosParams,
+    PbitParams,
     _expit,
-    _map_points,
-    _point_seed,
+    calibrate_match,
+    nmos_resistance,
     r_antiparallel,
-    states_at,
-    switching_times,
 )
-
-NMOS_OFF_RESISTANCE = 1e10  # ohm, below-threshold channel
-
-IDEAL_GAIN = math.inf  # sentinel: inverter acts as an ideal comparator
+from .smtj import _map_points, _point_seed, states_at, switching_times
 
 
 class SigmoidFitDiverged(ValueError):
     """Raised when the logistic fit of a transfer curve does not converge."""
-
-
-@dataclass(frozen=True)
-class NmosParams:
-    """Triode-region NMOS stand-in: threshold voltage and transconductance scale."""
-
-    v_threshold: float = 0.4
-    k_factor: float = 5e-4
-
-    def __post_init__(self) -> None:
-        if self.v_threshold < 0:
-            raise ValueError("v_threshold must be >= 0")
-        if self.k_factor <= 0:
-            raise ValueError("k_factor must be > 0")
-
-
-@dataclass(frozen=True)
-class InverterParams:
-    """Inverter switch point and steepness; gain=inf selects the ideal comparator."""
-
-    v_switch: float
-    gain: float = IDEAL_GAIN
-
-    def __post_init__(self) -> None:
-        if self.gain < 1:
-            raise ValueError("gain must be >= 1")
-
-
-@dataclass(frozen=True)
-class PbitParams:
-    """Full 3T-1MTJ circuit parameterization."""
-
-    smtj: SmtjParams = field(default_factory=SmtjParams)
-    nmos: NmosParams = field(default_factory=NmosParams)
-    inverter: InverterParams | None = None
-    v_dd: float = 1.2
-
-    def __post_init__(self) -> None:
-        if self.v_dd <= 0:
-            raise ValueError("v_dd must be > 0")
-        if self.inverter is None:
-            object.__setattr__(self, "inverter", InverterParams(v_switch=self.v_dd / 2))
-        if not 0 < self.inverter.v_switch < self.v_dd:
-            raise ValueError("v_switch must lie strictly inside (0, v_dd)")
 
 
 @dataclass(frozen=True)
@@ -115,14 +72,6 @@ class TransferCurve:
             file.write(f"{p.v_in:.12g},{p.mean_v_out:.12g}\n")
 
 
-def nmos_resistance(n: NmosParams, v_gs: float) -> float:
-    """Channel resistance at gate drive v_gs: OFF value at or below threshold,
-    1 / (k * (v_gs - v_threshold)) in triode above it."""
-    if v_gs <= n.v_threshold:
-        return NMOS_OFF_RESISTANCE
-    return 1.0 / (n.k_factor * (v_gs - n.v_threshold))
-
-
 def drain_voltage(p: PbitParams, v_in: float, state: MtjState) -> float:
     """Divider voltage at the sMTJ / NMOS node.
 
@@ -146,20 +95,6 @@ def output_voltage(p: PbitParams, v_in: float, state: MtjState) -> float:
     if math.isinf(inv.gain):
         return p.v_dd if v_d < inv.v_switch else 0.0
     return p.v_dd * _expit(inv.gain * (inv.v_switch - v_d) / p.v_dd)
-
-
-def calibrate_match(p: PbitParams) -> NmosParams:
-    """NMOS sizing that centers the transfer curve at v_dd / 2.
-
-    Sets k_factor so the channel resistance at v_gs = v_dd / 2 equals the
-    geometric mean of the two junction resistances, which places the inverter
-    threshold strictly between the two drain levels at midscale input.
-    """
-    target = math.sqrt(p.smtj.r_parallel * r_antiparallel(p.smtj))
-    v_on = p.v_dd / 2 - p.nmos.v_threshold
-    if v_on <= 0:
-        raise ValueError("v_threshold leaves no gate drive at v_dd / 2")
-    return NmosParams(v_threshold=p.nmos.v_threshold, k_factor=1.0 / (target * v_on))
 
 
 def sample_output(
@@ -235,7 +170,7 @@ def fit_sigmoid(v_in, means, v_dd: float) -> tuple[float, float]:
         return v_dd * s, np.column_stack([-slope, -slope * z])
 
     try:
-        (center, width), _ = _least_squares(
+        (center, width), _ = least_squares(
             model,
             y,
             [c0, span / 20],

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .device import PbitParams, nmos_resistance
-from .smtj import occupancy_ap, r_antiparallel
+from .params import PbitParams, nmos_resistance, occupancy_ap, r_antiparallel
 
 NS_PER_S = 1e9
 

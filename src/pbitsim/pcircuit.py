@@ -45,6 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .device import TransferCurve, fit_sigmoid
+from .params import PCircuitError
 
 ENUMERATION_LIMIT = 20  # exact oracle enumerates at most 2**20 states
 
@@ -60,10 +61,6 @@ _TABLE_KEYS = 3
 _MAP_NODES = 7
 # Map entries (words x sweeps) built at a time, bounding the temporaries.
 _MAP_CELLS = 1 << 15
-
-
-class PCircuitError(Exception):
-    """Base class for circuit-level failures."""
 
 
 class AllClamped(PCircuitError):

@@ -14,8 +14,6 @@ they are safe to call concurrently.
 from __future__ import annotations
 
 import collections
-import concurrent.futures
-import enum
 import functools
 import math
 import os
@@ -23,6 +21,18 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+
+# The parameters and the scalar occupancy and dwell rules live in params,
+# which loads no NumPy; smtj re-exports them.
+from .params import (
+    OCC_WINDOW_DIVISOR,
+    MtjState,
+    SmtjParams,
+    _expit,
+    dwell_times,
+    occupancy_ap,
+    r_antiparallel,
+)
 
 # Occupancies closer than this to 0 or 1 are treated as pinned: the minority
 # dwell time underflows and the trace degenerates to a constant level.
@@ -32,72 +42,8 @@ _OCC_PINNED = 1e-12
 # above it (an infinite one included) is refused before it is made an int.
 _MAX_COUNT = 2.0**63
 
-# The logistic field scale is window_width / OCC_WINDOW_DIVISOR, which makes
-# the occupancy span roughly [0.02, 0.98] across the stated window.
-OCC_WINDOW_DIVISOR = 8.0
-
 # Rows TelegraphTrace.to_csv renders per round of its thread pool.
 _CSV_ROWS = 1 << 16
-
-
-class MtjState(enum.IntEnum):
-    """Magnetization configuration. PARALLEL is the low-resistance state."""
-
-    PARALLEL = 0
-    ANTIPARALLEL = 1
-
-
-@dataclass(frozen=True)
-class SmtjParams:
-    """Physical parameters of one stochastic MTJ.
-
-    Defaults describe the slow reference device: 27.6 kOhm base resistance,
-    14.5% TMR, 4.2 ms mean dwell, equal occupancy at -7.22 mT with a 0.6 mT
-    stochastic window.
-
-    Attributes:
-        r_parallel: low-state resistance, ohm.
-        tmr: (r_high - r_low) / r_low, dimensionless fraction.
-        tau_mean: mean dwell time at the 50-50 point, seconds.
-        b_5050: field of equal state occupancy, tesla.
-        window_width: field span of the stochastic window, tesla.
-    """
-
-    r_parallel: float = 27.6e3
-    tmr: float = 0.145
-    tau_mean: float = 4.2e-3
-    b_5050: float = -7.22e-3
-    window_width: float = 0.6e-3
-
-    def __post_init__(self) -> None:
-        if self.r_parallel <= 0:
-            raise ValueError(f"r_parallel must be > 0, got {self.r_parallel}")
-        # tmr == 0 is allowed as the degenerate single-level device
-        if self.tmr < 0:
-            raise ValueError(f"tmr must be >= 0, got {self.tmr}")
-        if self.tau_mean <= 0:
-            raise ValueError(f"tau_mean must be > 0, got {self.tau_mean}")
-        if self.window_width <= 0:
-            raise ValueError(f"window_width must be > 0, got {self.window_width}")
-
-    def to_json(self) -> dict:
-        return {
-            "r_parallel_ohm": self.r_parallel,
-            "tmr": self.tmr,
-            "tau_mean_s": self.tau_mean,
-            "b_5050_T": self.b_5050,
-            "window_width_T": self.window_width,
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "SmtjParams":
-        return cls(
-            r_parallel=obj["r_parallel_ohm"],
-            tmr=obj["tmr"],
-            tau_mean=obj["tau_mean_s"],
-            b_5050=obj["b_5050_T"],
-            window_width=obj["window_width_T"],
-        )
 
 
 @dataclass
@@ -152,6 +98,8 @@ class TelegraphTrace:
         step = -(-_CSV_ROWS // cpus)
         starts = range(0, n, step)
         workers = min(cpus, len(starts))
+        import concurrent.futures  # only the two pools use it
+
         with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
             pending = collections.deque()
             for start in starts:
@@ -431,44 +379,6 @@ def _level_tails(low: int, high: int) -> np.ndarray:
     return tails
 
 
-def r_antiparallel(p: SmtjParams) -> float:
-    """High-state resistance: r_parallel * (1 + tmr)."""
-    return p.r_parallel * (1.0 + p.tmr)
-
-
-def occupancy_ap(p: SmtjParams, b: float) -> float:
-    """Probability of the anti-parallel state at bias field b (tesla).
-
-    Logistic in the field, equal to 0.5 at b_5050 and strictly decreasing
-    with increasing b.
-    """
-    scale = p.window_width / OCC_WINDOW_DIVISOR
-    return _expit(-(b - p.b_5050) / scale)
-
-
-def _expit(x: float) -> float:
-    """Scalar logistic 1 / (1 + exp(-x)), bit for bit scipy.special.expit.
-
-    SciPy's double kernel is this same expression over the C library's exp,
-    which math.exp calls too; only the overflow of exp(-x) for x below about
-    -709.78 needs a branch.
-    """
-    try:
-        return 1.0 / (1.0 + math.exp(-x))
-    except OverflowError:
-        return 0.0
-
-
-def dwell_times(p: SmtjParams, b: float) -> tuple[float, float]:
-    """Mean dwell times (tau_ap, tau_p) at field b.
-
-    The split keeps tau_ap + tau_p = 2 * tau_mean at every field, so the
-    occupancy ratio tau_ap / (tau_ap + tau_p) equals occupancy_ap(p, b).
-    """
-    occ = occupancy_ap(p, b)
-    return 2.0 * p.tau_mean * occ, 2.0 * p.tau_mean * (1.0 - occ)
-
-
 def switching_times(
     p: SmtjParams, b: float, duration: float, rng: np.random.Generator
 ) -> tuple[MtjState, np.ndarray]:
@@ -601,6 +511,8 @@ def _map_points(point, items: list, jobs: int) -> list:
     workers = min(jobs, len(items), _usable_cpus())
     if workers <= 1:
         return [point(i, x) for i, x in enumerate(items)]
+    import concurrent.futures
+
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(point, range(len(items)), items))
 

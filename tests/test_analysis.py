@@ -304,7 +304,7 @@ class TestFitDwellTime:
                 fit_dwell_time(acf, 1e-5, occ)
 
     def test_exhausted_optimizer_diverges(self, monkeypatch):
-        monkeypatch.setattr("pbitsim.analysis._FIT_MAX_STEPS", 0)
+        monkeypatch.setattr("pbitsim.fit._FIT_MAX_STEPS", 0)
         acf = np.column_stack([np.arange(10) * 1e-5, np.exp(-np.arange(10) / 3)])
         with pytest.raises(FitDiverged, match="did not converge"):
             fit_dwell_time(acf, 1e-5, 0.5)

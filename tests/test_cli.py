@@ -166,9 +166,12 @@ def _fresh(code, *args, **env):
     return json.loads(result.stdout)
 
 
+# NumPy loads after pbitsim.cli, as it does when a runner imports its modules:
+# pbitsim.cli alone loads no NumPy, and so no BLAS pool to count.
 _CLI_THREADS = """
 import json, os
 import pbitsim.cli
+import numpy
 threads = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
 print(json.dumps([os.environ.get("OPENBLAS_NUM_THREADS"), threads]))
 """
@@ -195,6 +198,77 @@ def test_package_import_loads_no_numpy():
     code = ("import json, os, sys; before = dict(os.environ); import pbitsim; "
             "print(json.dumps(['numpy' in sys.modules, dict(os.environ) == before]))")
     assert _fresh(code) == [False, True]
+
+
+# Runs main(argv) in a fresh interpreter (argv null: only imports pbitsim.cli)
+# and reports the exit code, whether NumPy loaded and pbitsim's modules.
+_MODULES_PROBE = """
+import contextlib, io, json, sys
+import pbitsim.cli
+argv = json.loads(sys.argv[1])
+code = None
+if argv is not None:
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = pbitsim.cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+print(json.dumps({
+    "code": code,
+    "numpy": "numpy" in sys.modules,
+    "modules": sorted(m for m in sys.modules if m.startswith("pbitsim.")),
+}))
+"""
+
+COMMANDS = tuple(cli._COMMANDS)
+
+
+def _probe_modules(argv):
+    return _fresh(_MODULES_PROBE, json.dumps(argv))
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (None, None),
+        *[([command, "--help"], 0) for command in COMMANDS],
+        (["gate", "--sweeps", "0"], 2),
+        (["transfer", "--config", "{cfg}"], 2),
+        (["metrics"], 0),
+    ],
+    ids=["import", *[f"{command} --help" for command in COMMANDS], "flag exits 2",
+         "config exits 2", "metrics"],
+)
+def test_front_door_loads_no_numpy(tmp_path, argv, code):
+    # parsing flags, resolving a config and the scalar metrics need no NumPy
+    (tmp_path / "cfg.json").write_text('{"v_step_V": 0}')
+    if argv is not None:
+        argv = [a.format(cfg=tmp_path / "cfg.json") for a in argv]
+        argv += ["--out-dir", str(tmp_path / "out")]
+    report = _probe_modules(argv)
+    assert report["code"] == code
+    assert report["numpy"] is False
+    assert set(report["modules"]) <= {"pbitsim.cli", "pbitsim.params", "pbitsim.metrics"}
+
+
+@pytest.mark.parametrize(
+    "argv,absent",
+    [
+        (["gate", "--sweeps", "2000"], {"pbitsim.analysis"}),
+        (
+            ["gate", "--activation", "empirical", "--clamp-c", "1", "--sweeps", "2000"],
+            {"pbitsim.analysis"},
+        ),
+        (["field-sweep", "--point-duration-s", "0.05"], {"pbitsim.pcircuit", "pbitsim.device"}),
+        (["transfer", "--n-per-point", "20"], {"pbitsim.analysis", "pbitsim.pcircuit"}),
+    ],
+    ids=["gate", "gate empirical", "field-sweep", "transfer"],
+)
+def test_each_command_imports_only_what_it_runs(tmp_path, argv, absent):
+    report = _probe_modules([*argv, "--out-dir", str(tmp_path / "out")])
+    assert report["code"] == 0
+    assert report["numpy"] is True
+    assert not absent & set(report["modules"])
 
 
 # The names the package exported when its __init__ imported every submodule.
@@ -785,7 +859,7 @@ class TestSmtjTrace:
         assert dir_bytes(tmp_path / "a") == dir_bytes(tmp_path / "b")
 
     def test_exhausted_fit_exits_3(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr("pbitsim.analysis._FIT_MAX_STEPS", 0)
+        monkeypatch.setattr("pbitsim.fit._FIT_MAX_STEPS", 0)
         code = run(
             "smtj-trace", "--out-dir", tmp_path, "--seed", 3,
             "--duration-s", 0.5, "--dt-s", 1e-4,
@@ -1081,7 +1155,7 @@ class TestGate:
         assert summary["modal_word"] == "111"
 
     def test_exhausted_sigmoid_fit_exits_3(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr("pbitsim.analysis._FIT_MAX_STEPS", 0)
+        monkeypatch.setattr("pbitsim.fit._FIT_MAX_STEPS", 0)
         code = run(
             "gate", "--out-dir", tmp_path / "gate", "--seed", 9,
             "--gate", "and", "--clamp-c", 1, "--activation", "empirical",

@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import io
 import json
@@ -314,7 +315,7 @@ class TestFieldSweepJobs:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(smtj.concurrent.futures, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(smtj, "_usable_cpus", lambda: cpus)
         items = [0.5 * k for k in range(points)]
         assert smtj._map_points(lambda i, x: (i, x), items, jobs) == list(enumerate(items))
