@@ -11,7 +11,7 @@ The names below load their submodule on first access (PEP 562), so
 params load no NumPy at all; every other submodule but metrics loads it.
 """
 
-import importlib
+import sys
 
 __version__ = "0.1.0"
 
@@ -55,7 +55,9 @@ __all__ = sorted(_EXPORTS)
 def __getattr__(name: str):
     if name not in _EXPORTS:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    module = f"{__name__}.{_EXPORTS[name]}"
+    __import__(module)  # the import statement's own path, which -X importtime reports
+    value = getattr(sys.modules[module], name)
     globals()[name] = value
     return value
 

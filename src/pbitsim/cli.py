@@ -58,7 +58,8 @@ _LAZY = {
         "extract_stochastic_window", "fit_dwell_time", "load_trace", "mean_dwell_direct",
         "threshold_states", "tmr_from_levels",
     ),
-    "device": ("SigmoidFitDiverged", "fit_sigmoid", "mixed_region_span", "transfer_curve"),
+    "device": ("fit_sigmoid", "mixed_region_span", "transfer_curve"),
+    "fit": ("FitDiverged",),
     "metrics": ("comparison_table", "write_perf_csv"),
     "pcircuit": (
         "EmpiricalActivation", "IdealTanh", "and_gate", "boltzmann_exact", "clamp",
@@ -469,7 +470,7 @@ def _transfer_grid(cfg: dict) -> list:
 
 
 def cmd_transfer(cfg: dict, given: set) -> dict:
-    _load("device")
+    _load("device", "fit")
     p = _pbit_from_cfg(cfg)
     grid = _transfer_grid(cfg)
     b = cfg["b_field_T"] if cfg["b_field_T"] is not None else p.smtj.b_5050
@@ -481,7 +482,7 @@ def cmd_transfer(cfg: dict, given: set) -> dict:
     if len(grid) >= 4:
         try:
             center, width = fit_sigmoid(curve.v_in, curve.means, p.v_dd)
-        except SigmoidFitDiverged:
+        except FitDiverged:
             center = width = None
     else:
         center = width = None

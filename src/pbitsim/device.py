@@ -17,26 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fit import FitDiverged, least_squares
-# The circuit parameters and the scalar resistance and calibration rules live
-# in params, which loads no NumPy; they are re-exported here.
-from .params import (
-    IDEAL_GAIN,
-    NMOS_OFF_RESISTANCE,
-    InverterParams,
-    MtjState,
-    NmosParams,
-    PbitParams,
-    _expit,
-    calibrate_match,
-    nmos_resistance,
-    r_antiparallel,
-)
+from .fit import least_squares
+from .params import MtjState, PbitParams, _expit, nmos_resistance, r_antiparallel
 from .smtj import _map_points, _point_seed, states_at, switching_times
-
-
-class SigmoidFitDiverged(ValueError):
-    """Raised when the logistic fit of a transfer curve does not converge."""
 
 
 @dataclass(frozen=True)
@@ -155,7 +138,7 @@ def fit_sigmoid(v_in, means, v_dd: float) -> tuple[float, float]:
 
     Returns (center, width) in volts; center is bounded to the grid widened by
     its span on each side, width to [1e-6, 10] spans.  Raises
-    SigmoidFitDiverged when the least-squares solver does not converge.
+    fit.FitDiverged when the least-squares solver does not converge.
     """
     v = np.asarray(v_in, dtype=float)
     y = np.asarray(means, dtype=float)
@@ -169,16 +152,13 @@ def fit_sigmoid(v_in, means, v_dd: float) -> tuple[float, float]:
         slope = v_dd * s * (1.0 - s) / width
         return v_dd * s, np.column_stack([-slope, -slope * z])
 
-    try:
-        (center, width), _ = least_squares(
-            model,
-            y,
-            [c0, span / 20],
-            [v.min() - span, 1e-6 * span],
-            [v.max() + span, 10 * span],
-        )
-    except FitDiverged as exc:
-        raise SigmoidFitDiverged(str(exc)) from exc
+    (center, width), _ = least_squares(
+        model,
+        y,
+        [c0, span / 20],
+        [v.min() - span, 1e-6 * span],
+        [v.max() + span, 10 * span],
+    )
     return float(center), float(width)
 
 

@@ -3,8 +3,7 @@
 The four parameter dataclasses, the junction states, the closed-form
 occupancy, dwell, resistance and calibration rules, and the error bases the
 command line catches.  Everything here is standard-library Python, so the
-command line loads it, and checks a configuration, without loading NumPy;
-`smtj`, `device`, `analysis` and `pcircuit` re-export these names.
+command line loads it, and checks a configuration, without loading NumPy.
 """
 
 from __future__ import annotations

@@ -22,17 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# The parameters and the scalar occupancy and dwell rules live in params,
-# which loads no NumPy; smtj re-exports them.
-from .params import (
-    OCC_WINDOW_DIVISOR,
-    MtjState,
-    SmtjParams,
-    _expit,
-    dwell_times,
-    occupancy_ap,
-    r_antiparallel,
-)
+from .params import MtjState, SmtjParams, dwell_times, occupancy_ap, r_antiparallel
 
 # Occupancies closer than this to 0 or 1 are treated as pinned: the minority
 # dwell time underflows and the trace degenerates to a constant level.

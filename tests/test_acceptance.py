@@ -18,18 +18,13 @@ from pbitsim.analysis import (
     tmr_from_levels,
 )
 from pbitsim.cli import main as cli_main
-from pbitsim.device import (
-    PbitParams,
-    calibrate_match,
-    fit_sigmoid,
-    mixed_region_span,
-    transfer_curve,
-)
+from pbitsim.device import fit_sigmoid, mixed_region_span, transfer_curve
 from pbitsim.metrics import (
     inverter_dynamic_power,
     projection_p4,
     throughput_from_dwell,
 )
+from pbitsim.params import PbitParams, calibrate_match
 from pbitsim.pcircuit import (
     IdealTanh,
     and_gate,

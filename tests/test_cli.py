@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import hashlib
 import io
@@ -276,11 +277,11 @@ PACKAGE_EXPORTS = {
     "analysis": ["DwellEstimate", "FieldSweep", "LevelEstimate", "StochasticWindow",
                  "autocorrelation", "extract_stochastic_window", "fit_dwell_time",
                  "mean_dwell_direct", "threshold_states", "tmr_from_levels"],
-    "device": ["InverterParams", "NmosParams", "PbitParams", "TransferCurve",
-               "calibrate_match", "drain_voltage", "nmos_resistance", "output_voltage",
-               "sample_output", "transfer_curve"],
+    "device": ["PbitParams", "TransferCurve", "drain_voltage", "nmos_resistance",
+               "output_voltage", "sample_output", "transfer_curve"],
     "metrics": ["PerfPoint", "comparison_table", "inverter_dynamic_power",
                 "pbit_static_power", "projection_p4", "throughput_from_dwell"],
+    "params": ["InverterParams", "NmosParams", "calibrate_match"],
     "pcircuit": ["EmpiricalActivation", "IdealTanh", "PCircuit", "StateHistogram",
                  "and_gate", "boltzmann_exact", "clamp", "compare_to_oracle", "gibbs_run",
                  "or_gate"],
@@ -317,6 +318,35 @@ def test_package_exports_resolve_lazily():
     assert report["same"] == names
     assert report["star"] == names
     assert report["unknown"] == "module 'pbitsim' has no attribute 'no_such_name'"
+
+
+def test_package_lookup_import_shows_in_importtime():
+    # a name looked up on the package imports its module the way an import
+    # statement does, so -X importtime lists it
+    result = subprocess.run(
+        [sys.executable, "-X", "importtime", "-c", "import pbitsim; pbitsim.PCircuit"],
+        env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True, check=True,
+        timeout=120,
+    )
+    modules = {line.rsplit("|", 1)[-1].strip() for line in result.stderr.splitlines()}
+    assert "pbitsim.pcircuit" in modules
+
+
+def test_no_module_imports_a_sibling_name_it_does_not_use():
+    # each name has one home: a module imports from its siblings only the
+    # names its code or annotations use, and re-exports none
+    unused = {}
+    for path in sorted(Path(SRC, "pbitsim").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {
+            alias.asname or alias.name
+            for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused[path.name] = sorted(imported - used)
+    assert {"cli.py", "device.py", "smtj.py"} <= unused.keys()
+    assert unused == dict.fromkeys(unused, [])
 
 
 _BLAS_RESULTS = """
@@ -1162,7 +1192,7 @@ class TestGate:
         )
         assert code == 3
         err = capsys.readouterr().err
-        assert "SigmoidFitDiverged" in err
+        assert "pbitsim: FitDiverged:" in err
         assert "Traceback" not in err
         # transfer still writes its curve and reports no fit
         out = tmp_path / "transfer"

@@ -10,18 +10,21 @@ from scipy.optimize import curve_fit
 from scipy.special import expit
 
 from pbitsim.device import (
-    InverterParams,
-    NmosParams,
-    PbitParams,
     _transfer_point,
-    calibrate_match,
     drain_voltage,
     fit_sigmoid,
     mixed_region_span,
-    nmos_resistance,
     output_voltage,
     sample_output,
     transfer_curve,
+)
+from pbitsim.fit import FitDiverged
+from pbitsim.params import (
+    InverterParams,
+    NmosParams,
+    PbitParams,
+    calibrate_match,
+    nmos_resistance,
 )
 from pbitsim.smtj import MtjState, SmtjParams
 
@@ -341,6 +344,13 @@ class TestSigmoidFitMatchesCurveFit:
         plateau = 0.6 + np.random.default_rng(seed).normal(0.0, sigma, n)
         low, high = v < center - half, v > center + half
         self.assert_matches(v, np.where(low, 0.0, np.where(high, 1.2, plateau)))
+
+    def test_exhausted_fit_raises_fit_diverged(self, monkeypatch):
+        # the sigmoid fit fails with the dwell fit's error
+        monkeypatch.setattr("pbitsim.fit._FIT_MAX_STEPS", 0)
+        v = np.linspace(0.5, 0.7, 21)
+        with pytest.raises(FitDiverged, match="did not converge"):
+            fit_sigmoid(v, 1.2 * expit((v - 0.6) / 0.01), 1.2)
 
 
 class TestSerialization:

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pbitsim.device import NmosParams, PbitParams, calibrate_match, nmos_resistance
 from pbitsim.metrics import (
     PerfPoint,
     comparison_table,
@@ -15,6 +14,7 @@ from pbitsim.metrics import (
     throughput_from_dwell,
     write_perf_csv,
 )
+from pbitsim.params import NmosParams, PbitParams, calibrate_match, nmos_resistance
 from pbitsim.smtj import SmtjParams
 
 

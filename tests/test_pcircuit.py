@@ -10,7 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pbitsim import pcircuit
-from pbitsim.device import InverterParams, PbitParams, calibrate_match, transfer_curve
+from pbitsim.device import transfer_curve
+from pbitsim.params import InverterParams, PbitParams, calibrate_match
 from pbitsim.pcircuit import (
     ENUMERATION_LIMIT,
     AllClamped,

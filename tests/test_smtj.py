@@ -18,12 +18,12 @@ from scipy import special, stats
 
 from pbitsim import smtj
 from pbitsim.analysis import load_trace
+from pbitsim.params import _expit
 from pbitsim.smtj import (
     _CSV_ROWS,
     MtjState,
     SmtjParams,
     TelegraphTrace,
-    _expit,
     dwell_times,
     occupancy_ap,
     r_antiparallel,
