@@ -513,10 +513,7 @@ def _default_empirical_activation(seed: int) -> EmpiricalActivation:
     Uses the soft-inverter mode: a hard comparator would give a three-level
     table with exactly saturated tails that pins the sampler in one state.
     """
-    p = PbitParams()
-    p = replace(
-        p, nmos=calibrate_match(p), inverter=InverterParams(v_switch=p.v_dd / 2, gain=60.0)
-    )
+    p = _pbit_from_cfg({**TRANSFER_DEFAULTS, "inverter_gain": 60.0})
     grid = [round(0.54 + 0.001 * k, 5) for k in range(121)]
     curve = transfer_curve(
         p,

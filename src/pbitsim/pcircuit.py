@@ -12,12 +12,14 @@ et al., Nat. Electron. 5, 460, 2022); updating coupled nodes simultaneously
 is not, so only sequential sweeps are offered.
 
 Clamped bits never change, so a run walks only the free word, in which free
-node k is bit nf - 1 - k; free words and the full words they stand for
-(_full_word) sort alike.  Three generators walk it, each the same chain with
-the same draws, and yield (first sweep, free words visited) per block of
-sweeps or map chunk; the pair scan and the maps look update probabilities
-up in one table (_free_words).  gibbs_run alone seeds them (_seeded), cuts
-burn-in, counts the words and keys the counts by full word (_histogram):
+node k is bit nf - 1 - k.  One table (_full_words) holds the full word of
+every free word; free words and full words sort alike, and the sampler and
+the oracle both read their states and keys off it.  Three generators walk
+the free word, each the same chain with the same draws, and yield (first
+sweep, free words visited) per block of sweeps or map chunk; the pair scan
+and the maps look update probabilities up in one table (_free_words).
+gibbs_run alone seeds them (_seeded), cuts burn-in, counts the words and
+keys the counts by full word (_histogram):
 
 - two free nodes (every clamped 3-node gate): an update reads only the
   other free bit, so one sweep is an affine map over GF(2) of the bit its
@@ -143,11 +145,6 @@ class StateHistogram:
             word = format(idx, f"0{self.n}b")
             c = self.counts.get(word, 0)
             file.write(f"{word},{c},{c / total:.12g}\n")
-
-
-def word_from_state(m) -> str:
-    """Binary word of a bipolar state vector; node 0 is the most significant bit."""
-    return "".join("1" if v > 0 else "0" for v in m)
 
 
 class IdealTanh:
@@ -319,19 +316,19 @@ def _local_fields(c: PCircuit):
     return bias, rows
 
 
-def _full_word(c: PCircuit, w: int) -> int:
-    """Full word that free word w stands for: free node k is bit nf - 1 - k."""
+def _full_words(c: PCircuit) -> np.ndarray:
+    """Full word of every free word, in free-word order: free node k is bit nf - 1 - k."""
     n, free = c.n, c.free_nodes
-    word = sum(1 << (n - 1 - node) for node, value in c.clamps.items() if value > 0)
+    index = np.arange(1 << len(free), dtype=np.int64)
+    words = np.full_like(index, sum(1 << (n - 1 - node) for node, v in c.clamps.items() if v > 0))
     for k, node in enumerate(free):
-        word |= (w >> (len(free) - 1 - k) & 1) << (n - 1 - node)
-    return word
+        words |= (index >> (len(free) - 1 - k) & 1) << (n - 1 - node)
+    return words
 
 
-def _bipolar(c: PCircuit, w: int) -> list:
-    """State vector m of the circuit at free word w."""
-    word = _full_word(c, w)
-    return [1 if word >> (c.n - 1 - j) & 1 else -1 for j in range(c.n)]
+def _bipolar(n: int, word: int) -> list:
+    """State vector m of a full word of n nodes."""
+    return [1 if word >> (n - 1 - j) & 1 else -1 for j in range(n)]
 
 
 def _free_words(c: PCircuit, act) -> np.ndarray:
@@ -339,8 +336,8 @@ def _free_words(c: PCircuit, act) -> np.ndarray:
     free = c.free_nodes
     bias, rows = _local_fields(c)
     prob = np.empty((len(free), 1 << len(free)))
-    for w in range(1 << len(free)):
-        m = _bipolar(c, w)
+    for w, word in enumerate(_full_words(c).tolist()):
+        m = _bipolar(c.n, word)
         for k, node in enumerate(free):
             # the loop's own left-to-right sum, so every path compares the
             # same draws against bit-identical probabilities
@@ -354,10 +351,9 @@ def _free_words(c: PCircuit, act) -> np.ndarray:
 def _histogram(c: PCircuit, counts: np.ndarray) -> StateHistogram:
     """Histogram of free-word counts, keyed by the full words they stand for."""
     width = f"0{c.n}b"
-    words = np.flatnonzero(counts).tolist()
-    return StateHistogram(
-        n=c.n, counts={format(_full_word(c, w), width): int(counts[w]) for w in words}
-    )
+    seen = np.flatnonzero(counts)
+    words = zip(_full_words(c)[seen].tolist(), counts[seen].tolist())
+    return StateHistogram(n=c.n, counts={format(word, width): k for word, k in words})
 
 
 def _pair_words(c: PCircuit, act, word: int, blocks):
@@ -421,27 +417,16 @@ def _map_words(c: PCircuit, act, word: int, blocks):
     bits = (1 << np.arange(nf - 1, -1, -1)).astype(np.uint8)
     identity = np.arange(size, dtype=np.uint8)[:, None]
     step = max(1, _MAP_CELLS // size)  # sweeps whose maps are built at once
-    # the gather and its index, allocated once: at 2**15 cells they sit at
-    # glibc's mmap threshold, and a fresh pair per chunk maps fresh pages.
-    # Every index is in range by construction; mode="clip" skips the bounds
-    # pass and the copy of out that the default mode makes.
-    index_buf = np.empty(step * size, dtype=np.intp)
-    gathered_buf = np.empty(step * size)
     for done, perms, draws in blocks:
         for first in range(0, len(draws), step):
             chunk = slice(first, first + step)
-            sweeps = len(draws[chunk])
-            index = index_buf[: size * sweeps].reshape(size, sweeps)
-            gathered = gathered_buf[: size * sweeps].reshape(size, sweeps)
             # maps[w, s]: the free word that sweep s leaves behind when it
             # starts at w; word-major, so every operation runs along sweeps
-            maps = np.broadcast_to(identity, (size, sweeps))
+            maps = np.broadcast_to(identity, (size, len(draws[chunk])))
             for slot in range(nf):
                 k = perms[chunk, slot]
                 bit = bits[k]
-                np.add(k * size, maps, out=index)
-                np.take(prob, index, out=gathered, mode="clip")
-                high = draws[chunk, slot] < gathered
+                high = draws[chunk, slot] < prob.take(k * size + maps)
                 maps = (maps & ~bit) | (bit * high)
             visited = _walk(maps, word)
             word = int(visited[-1])
@@ -476,7 +461,7 @@ def _loop_words(c: PCircuit, act, word: int, blocks):
     """Free words node update by node update; builds nothing over 2**nf words."""
     free = c.free_nodes
     masks = [1 << (len(free) - 1 - k) for k in range(len(free))]
-    m = _bipolar(c, word)
+    m = _bipolar(c.n, int(_full_words(c)[word]))
     # Python-level caches keep the inner loop free of numpy scalar overhead.
     bias, rows = _local_fields(c)
     prob = act.prob_high
@@ -504,17 +489,10 @@ def boltzmann_exact(c: PCircuit) -> dict:
     """
     if c.n > ENUMERATION_LIMIT:
         raise TooLarge(f"{c.n} nodes exceed the {ENUMERATION_LIMIT}-node enumeration limit")
-    free = c.free_nodes
-    if not free:
+    if not c.free_nodes:
         raise AllClamped("no free node: distribution is a single clamped word")
-    nf = len(free)
-    k = np.arange(2**nf, dtype=np.int64)
-    bits = (k[:, None] >> np.arange(nf - 1, -1, -1)) & 1
-    states = np.zeros((2**nf, c.n))
-    states[:, free] = bits * 2 - 1
-    for node, value in c.clamps.items():
-        states[:, node] = value
-
+    words = _full_words(c)
+    states = (words[:, None] >> np.arange(c.n - 1, -1, -1) & 1) * 2.0 - 1.0
     with np.errstate(over="ignore"):  # an energy gap past the largest double weighs 0
         energy = -c.i0 * (states @ c.h + 0.5 * np.einsum("si,ij,sj->s", states, c.j, states))
         if not np.isfinite(energy).all():
@@ -522,7 +500,8 @@ def boltzmann_exact(c: PCircuit) -> dict:
         energy -= energy.min()
     weights = np.exp(-energy)
     probs = weights / weights.sum()
-    return {word_from_state(s): float(p) for s, p in zip(states, probs)}
+    width = f"0{c.n}b"
+    return {format(w, width): p for w, p in zip(words.tolist(), probs.tolist())}
 
 
 def and_gate(i0: float) -> PCircuit:

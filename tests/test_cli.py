@@ -606,6 +606,11 @@ def voltage_export(tmp_path_factory):
     return str(path)
 
 
+_SAMPLING_WARNING = re.compile(
+    r"exceeds tau_mean/10=|under tau_mean=\S+ s: consecutive samples are correlated"
+)
+
+
 @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
 @settings(max_examples=20, deadline=None, phases=[Phase.generate])
 @given(data=st.data())
@@ -616,12 +621,18 @@ def test_in_range_config_runs_or_exits_3(voltage_export, command, data):
     if cfg.get("input_trace"):
         cfg["input_trace"] = voltage_export
     with tempfile.TemporaryDirectory() as tmp, \
+            warnings.catch_warnings(record=True) as caught, \
             contextlib.redirect_stderr(io.StringIO()) as err:
+        warnings.simplefilter("always")
         out = Path(tmp) / "out"
         config = Path(tmp) / "cfg.json"
         config.write_text(json.dumps({**cfg, "out_dir": str(out)}))
         code = main([command, "--config", str(config)])
         assert code in (0, 3), err.getvalue()
+        # only the two documented sampling-interval warnings
+        for w in caught:
+            assert w.category is UserWarning, w
+            assert _SAMPLING_WARNING.search(str(w.message)), w
         assert "Traceback" not in err.getvalue()
         assert out.exists() == (code == 0)
         if code == 0:

@@ -23,6 +23,8 @@ from pbitsim.pcircuit import (
     _MAP_CELLS,
     _MAP_NODES,
     _SWEEP_BLOCK,
+    _bipolar,
+    _full_words,
     _histogram,
     _isotonic,
     _loop_words,
@@ -37,7 +39,6 @@ from pbitsim.pcircuit import (
     compare_to_oracle,
     gibbs_run,
     or_gate,
-    word_from_state,
 )
 
 AND_TRUTH = {"000", "010", "100", "111"}
@@ -56,7 +57,7 @@ def brute_force_energies(circuit):
             e += circuit.h[i] * m[i]
             for j in range(i + 1, n):
                 e += circuit.j[i, j] * m[i] * m[j]
-        energies[word_from_state(m)] = -circuit.i0 * e
+        energies["".join("1" if v > 0 else "0" for v in m)] = -circuit.i0 * e
     return energies
 
 
@@ -155,6 +156,23 @@ class TestBoltzmannExact:
     def test_strong_coupling_concentrates_on_truth_table(self):
         dist = boltzmann_exact(and_gate(3.0))
         assert sum(dist[w] for w in AND_TRUTH) > 0.999
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 10), seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_sampler_and_oracle_share_the_free_word_table(self, n, seed, data):
+        clamped = data.draw(st.sets(st.integers(0, n - 1), max_size=n - 1))
+        clamps = {node: data.draw(st.sampled_from((-1, 1))) for node in sorted(clamped)}
+        c = random_circuit(n, clamps, seed)
+        free, full = c.free_nodes, _full_words(c).tolist()
+        assert len(full) == 2 ** len(free)
+        assert all(a < b for a, b in zip(full, full[1:]))
+        for w, word in enumerate(full):
+            assert all(word >> (n - 1 - node) & 1 == (v > 0) for node, v in clamps.items())
+            m = _bipolar(n, word)
+            assert [m[node] > 0 for node in free] == [
+                w >> (len(free) - 1 - k) & 1 == 1 for k in range(len(free))
+            ]
+        assert list(boltzmann_exact(c)) == [format(w, f"0{n}b") for w in full]
 
     def test_too_large_rejected(self):
         n = 21
