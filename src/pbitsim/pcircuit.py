@@ -12,14 +12,14 @@ et al., Nat. Electron. 5, 460, 2022); updating coupled nodes simultaneously
 is not, so only sequential sweeps are offered.
 
 Clamped bits never change, so a run walks only the free word, in which free
-node k is bit nf - 1 - k.  One table (_full_words) holds the full word of
-every free word; free words and full words sort alike, and the sampler and
-the oracle both read their states and keys off it.  Three generators walk
-the free word, each the same chain with the same draws, and yield (first
-sweep, free words visited) per block of sweeps or map chunk; the pair scan
-and the maps look update probabilities up in one table (_free_words).
-gibbs_run alone seeds them (_seeded), cuts burn-in, counts the words and
-keys the counts by full word (_histogram):
+node k is bit nf - 1 - k.  One mapping (_full_words) gives each free word's
+full word; the two sort alike, and the sampler and the oracle both read
+their states and keys off it.  Three generators walk the free word, each
+the same chain with the same draws, and yield (first sweep, free words
+visited) per block of sweeps or map chunk; the pair scan and the maps look
+update probabilities up in one table (_free_words).  gibbs_run alone seeds
+them (_seeded), cuts burn-in, counts the words and keys the counts by full
+word (_histogram):
 
 - two free nodes (every clamped 3-node gate): an update reads only the
   other free bit, so one sweep is an affine map over GF(2) of the bit its
@@ -316,10 +316,10 @@ def _local_fields(c: PCircuit):
     return bias, rows
 
 
-def _full_words(c: PCircuit) -> np.ndarray:
-    """Full word of every free word, in free-word order: free node k is bit nf - 1 - k."""
+def _full_words(c: PCircuit, free_words) -> np.ndarray:
+    """Full words of free words (free node k is bit nf - 1 - k); Python ints past 63 nodes."""
     n, free = c.n, c.free_nodes
-    index = np.arange(1 << len(free), dtype=np.int64)
+    index = np.asarray(free_words, dtype=np.int64 if n < 64 else object)
     words = np.full_like(index, sum(1 << (n - 1 - node) for node, v in c.clamps.items() if v > 0))
     for k, node in enumerate(free):
         words |= (index >> (len(free) - 1 - k) & 1) << (n - 1 - node)
@@ -336,7 +336,7 @@ def _free_words(c: PCircuit, act) -> np.ndarray:
     free = c.free_nodes
     bias, rows = _local_fields(c)
     prob = np.empty((len(free), 1 << len(free)))
-    for w, word in enumerate(_full_words(c).tolist()):
+    for w, word in enumerate(_full_words(c, np.arange(1 << len(free))).tolist()):
         m = _bipolar(c.n, word)
         for k, node in enumerate(free):
             # the loop's own left-to-right sum, so every path compares the
@@ -352,7 +352,7 @@ def _histogram(c: PCircuit, counts: np.ndarray) -> StateHistogram:
     """Histogram of free-word counts, keyed by the full words they stand for."""
     width = f"0{c.n}b"
     seen = np.flatnonzero(counts)
-    words = zip(_full_words(c)[seen].tolist(), counts[seen].tolist())
+    words = zip(_full_words(c, seen).tolist(), counts[seen].tolist())
     return StateHistogram(n=c.n, counts={format(word, width): k for word, k in words})
 
 
@@ -461,7 +461,7 @@ def _loop_words(c: PCircuit, act, word: int, blocks):
     """Free words node update by node update; builds nothing over 2**nf words."""
     free = c.free_nodes
     masks = [1 << (len(free) - 1 - k) for k in range(len(free))]
-    m = _bipolar(c.n, int(_full_words(c)[word]))
+    m = _bipolar(c.n, _full_words(c, [word]).tolist()[0])
     # Python-level caches keep the inner loop free of numpy scalar overhead.
     bias, rows = _local_fields(c)
     prob = act.prob_high
@@ -491,7 +491,7 @@ def boltzmann_exact(c: PCircuit) -> dict:
         raise TooLarge(f"{c.n} nodes exceed the {ENUMERATION_LIMIT}-node enumeration limit")
     if not c.free_nodes:
         raise AllClamped("no free node: distribution is a single clamped word")
-    words = _full_words(c)
+    words = _full_words(c, np.arange(1 << len(c.free_nodes)))
     states = (words[:, None] >> np.arange(c.n - 1, -1, -1) & 1) * 2.0 - 1.0
     with np.errstate(over="ignore"):  # an energy gap past the largest double weighs 0
         energy = -c.i0 * (states @ c.h + 0.5 * np.einsum("si,ij,sj->s", states, c.j, states))

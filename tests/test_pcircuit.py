@@ -163,7 +163,8 @@ class TestBoltzmannExact:
         clamped = data.draw(st.sets(st.integers(0, n - 1), max_size=n - 1))
         clamps = {node: data.draw(st.sampled_from((-1, 1))) for node in sorted(clamped)}
         c = random_circuit(n, clamps, seed)
-        free, full = c.free_nodes, _full_words(c).tolist()
+        free = c.free_nodes
+        full = _full_words(c, np.arange(2 ** len(free))).tolist()
         assert len(full) == 2 ** len(free)
         assert all(a < b for a, b in zip(full, full[1:]))
         for w, word in enumerate(full):
@@ -195,6 +196,30 @@ class TestGibbsRun:
         assert len(freqs) == 8
         for w in freqs:
             assert freqs[w] == pytest.approx(0.125, abs=0.002)
+
+    @pytest.mark.parametrize("free", [(0,), (0, 69), (3, 5, 69), (0, 1, 2, 5, 30, 60, 64, 69)])
+    def test_circuit_past_63_nodes_keeps_every_bit(self, free):
+        # a clamped node j adds i0 * J_ij m_j to free node i's field; with
+        # i0 = 1/64 and integer weights every field is exact, so the 70-node
+        # circuit draws the free words of its free nodes alone, the clamps
+        # folded into their biases, and its keys hold every clamp
+        n, i0, idx = 70, 1 / 64, list(free)
+        rng = np.random.default_rng(len(free))
+        upper = np.triu(rng.integers(-2, 3, (n, n)), 1).astype(float)
+        j, h = upper + upper.T, rng.integers(-2, 3, n).astype(float)
+        clamps = {i: int(rng.choice((-1, 1))) for i in range(n) if i not in free}
+        m = np.array([clamps.get(i, 0) for i in range(n)], dtype=float)
+        alone = PCircuit(j=j[np.ix_(idx, idx)], h=h[idx] + j[idx] @ m, i0=i0)
+        big = PCircuit(j=j, h=h, i0=i0, clamps=clamps)
+        expected = {}
+        for word, k in gibbs_run(alone, IdealTanh(), 2000, burn_in=5, seed=4).counts.items():
+            bits = ["1" if v > 0 else "0" for v in m]
+            for node, b in zip(idx, word):
+                bits[node] = b
+            expected["".join(bits)] = k
+        assert len(expected) > 1
+        got = gibbs_run(big, IdealTanh(), 2000, burn_in=5, seed=4).counts
+        assert list(got.items()) == list(expected.items())
 
     def test_deterministic(self):
         c = clamp(and_gate(2.0), 2, 1)
