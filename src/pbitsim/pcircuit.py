@@ -12,14 +12,14 @@ et al., Nat. Electron. 5, 460, 2022); updating coupled nodes simultaneously
 is not, so only sequential sweeps are offered.
 
 Clamped bits never change, so a run walks only the free word, in which free
-node k is bit nf - 1 - k.  One mapping (_full_words) gives each free word's
-full word; the two sort alike, and the sampler and the oracle both read
-their states and keys off it.  Three generators walk the free word, each
-the same chain with the same draws, and yield (first sweep, free words
-visited) per block of sweeps or map chunk; the pair scan and the maps look
-update probabilities up in one table (_free_words).  gibbs_run alone seeds
-them (_seeded), cuts burn-in, counts the words and keys the counts by full
-word (_histogram):
+node k is bit nf - 1 - k.  The sampler and the oracle take their keys from
+one mapping of free words to full words (_full_words; the two sort alike)
+and their states from one table of full words' bipolar states (_states).
+Three generators walk the free word, each the same chain with the same
+draws, and yield (first sweep, free words visited) per block of sweeps or
+map chunk; the pair scan and the maps look update probabilities up in one
+table (_free_words).  gibbs_run alone seeds them (_seeded), cuts burn-in,
+counts the words and keys the counts by full word (_histogram):
 
 - two free nodes (every clamped 3-node gate): an update reads only the
   other free bit, so one sweep is an affine map over GF(2) of the bit its
@@ -139,6 +139,8 @@ class StateHistogram:
         return max(self.counts, key=lambda w: (self.counts[w], w))
 
     def to_csv(self, file) -> None:
+        if self.n > ENUMERATION_LIMIT:
+            raise TooLarge(f"{self.n} nodes exceed the {ENUMERATION_LIMIT}-node listing limit")
         file.write("word,count,frequency\n")
         total = self.total
         for idx in range(2**self.n):
@@ -326,26 +328,24 @@ def _full_words(c: PCircuit, free_words) -> np.ndarray:
     return words
 
 
-def _bipolar(n: int, word: int) -> list:
-    """State vector m of a full word of n nodes."""
-    return [1 if word >> (n - 1 - j) & 1 else -1 for j in range(n)]
+def _states(n: int, words: np.ndarray) -> np.ndarray:
+    """Bipolar states of full words of n nodes: row s is m of words[s], node 0 first."""
+    shifts = np.arange(n - 1, -1, -1).astype(words.dtype)  # Python ints for object words
+    return np.where(words[:, None] >> shifts & 1, 1.0, -1.0)
 
 
 def _free_words(c: PCircuit, act) -> np.ndarray:
     """prob[k, w] = P(free node k high | free word w)."""
-    free = c.free_nodes
     bias, rows = _local_fields(c)
-    prob = np.empty((len(free), 1 << len(free)))
-    for w, word in enumerate(_full_words(c, np.arange(1 << len(free))).tolist()):
-        m = _bipolar(c.n, word)
-        for k, node in enumerate(free):
-            # the loop's own left-to-right sum, so every path compares the
-            # same draws against bit-identical probabilities
-            acc = bias[node]
-            for j, wt in rows[node]:
-                acc += wt * m[j]
-            prob[k, w] = act.prob_high(acc)
-    return prob
+    columns = _states(c.n, _full_words(c, np.arange(1 << len(c.free_nodes)))).T.tolist()
+    prob = []
+    for node in c.free_nodes:
+        # the node loop's own Python-float sum, so every path reads bit-identical probabilities
+        fields = [bias[node]] * len(columns[0])
+        for j, wt in rows[node]:
+            fields = [x + wt * m for x, m in zip(fields, columns[j])]
+        prob.append([act.prob_high(x) for x in fields])
+    return np.array(prob)
 
 
 def _histogram(c: PCircuit, counts: np.ndarray) -> StateHistogram:
@@ -461,7 +461,7 @@ def _loop_words(c: PCircuit, act, word: int, blocks):
     """Free words node update by node update; builds nothing over 2**nf words."""
     free = c.free_nodes
     masks = [1 << (len(free) - 1 - k) for k in range(len(free))]
-    m = _bipolar(c.n, _full_words(c, [word]).tolist()[0])
+    m = _states(c.n, _full_words(c, [word]))[0].tolist()
     # Python-level caches keep the inner loop free of numpy scalar overhead.
     bias, rows = _local_fields(c)
     prob = act.prob_high
@@ -473,7 +473,7 @@ def _loop_words(c: PCircuit, act, word: int, blocks):
                 acc = bias[node]
                 for j, w in rows[node]:
                     acc += w * m[j]
-                new = 1 if row_draws[slot] < prob(acc) else -1
+                new = 1.0 if row_draws[slot] < prob(acc) else -1.0
                 if new != m[node]:
                     m[node] = new
                     word ^= masks[k]
@@ -492,7 +492,7 @@ def boltzmann_exact(c: PCircuit) -> dict:
     if not c.free_nodes:
         raise AllClamped("no free node: distribution is a single clamped word")
     words = _full_words(c, np.arange(1 << len(c.free_nodes)))
-    states = (words[:, None] >> np.arange(c.n - 1, -1, -1) & 1) * 2.0 - 1.0
+    states = _states(c.n, words)
     with np.errstate(over="ignore"):  # an energy gap past the largest double weighs 0
         energy = -c.i0 * (states @ c.h + 0.5 * np.einsum("si,ij,sj->s", states, c.j, states))
         if not np.isfinite(energy).all():
@@ -540,11 +540,10 @@ def clamp(c: PCircuit, node: int, value: int) -> PCircuit:
 
 def compare_to_oracle(hist: StateHistogram, exact: dict) -> float:
     """L1 distance between sampled frequencies and an exact distribution."""
-    for word in exact:
-        if len(word) != hist.n:
-            raise ValueError("histogram and oracle describe different node counts")
-    freqs = hist.frequencies()
-    # sorted: a set of strings iterates in a per-process hash order, and a
-    # float sum in another order can differ in its last digit
-    words = sorted(set(freqs) | set(exact))
-    return float(sum(abs(freqs.get(w, 0.0) - exact.get(w, 0.0)) for w in words))
+    if any(len(word) != hist.n for word in exact):
+        raise ValueError("histogram and oracle describe different node counts")
+    freqs, l1 = hist.frequencies(), 0.0
+    # sorted, left to right: set order varies per run, and Python 3.12's sum is compensated
+    for w in sorted(set(freqs) | set(exact)):
+        l1 += abs(freqs.get(w, 0.0) - exact.get(w, 0.0))
+    return float(l1)

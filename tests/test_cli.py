@@ -349,6 +349,32 @@ def test_no_module_imports_a_sibling_name_it_does_not_use():
     assert unused == dict.fromkeys(unused, [])
 
 
+def test_every_private_helper_is_used_in_the_package():
+    # a module-level private function or class that no code in the package
+    # names (as a name, attribute, import or string) lives only for tests
+    paths = sorted(Path(SRC, "pbitsim").glob("*.py"))
+    trees = {path.name: ast.parse(path.read_text()) for path in paths}
+    named = set()
+    for node in (node for tree in trees.values() for node in ast.walk(tree)):
+        if isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, ast.alias):
+            named.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            named.add(node.value)
+    helpers = [
+        (module, node.name)
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_") and not node.name.startswith("__")
+    ]
+    assert ("pcircuit.py", "_states") in helpers
+    assert [helper for helper in helpers if helper[1] not in named] == []
+
+
 _BLAS_RESULTS = """
 import hashlib, json
 import numpy as np

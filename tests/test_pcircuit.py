@@ -23,7 +23,6 @@ from pbitsim.pcircuit import (
     _MAP_CELLS,
     _MAP_NODES,
     _SWEEP_BLOCK,
-    _bipolar,
     _full_words,
     _histogram,
     _isotonic,
@@ -32,6 +31,7 @@ from pbitsim.pcircuit import (
     _orders,
     _pair_words,
     _seeded,
+    _states,
     _walk,
     and_gate,
     boltzmann_exact,
@@ -167,9 +167,11 @@ class TestBoltzmannExact:
         full = _full_words(c, np.arange(2 ** len(free))).tolist()
         assert len(full) == 2 ** len(free)
         assert all(a < b for a, b in zip(full, full[1:]))
-        for w, word in enumerate(full):
+        states = _states(n, np.array(full))
+        assert states.shape == (len(full), n) and states.dtype == np.float64
+        for w, (word, m) in enumerate(zip(full, states.tolist())):
             assert all(word >> (n - 1 - node) & 1 == (v > 0) for node, v in clamps.items())
-            m = _bipolar(n, word)
+            assert m == [1.0 if word >> (n - 1 - j) & 1 else -1.0 for j in range(n)]
             assert [m[node] > 0 for node in free] == [
                 w >> (len(free) - 1 - k) & 1 == 1 for k in range(len(free))
             ]
@@ -569,6 +571,12 @@ class TestCompareToOracle:
         hist = StateHistogram(n=3, counts=dict(zip(words, map(int, draws))))
         assert compare_to_oracle(hist, exact) < 0.01
 
+    def test_sum_runs_left_to_right_on_every_python(self):
+        # a compensated sum (the builtin from Python 3.12) keeps both 1e-16
+        # terms and gives 1.0000000000000002
+        hist = StateHistogram(n=2, counts={"00": 1})
+        assert compare_to_oracle(hist, {"00": 0.0, "01": 1e-16, "10": 1e-16}) == 1.0
+
     def test_node_count_checked(self):
         hist = StateHistogram(n=2, counts={"00": 1})
         with pytest.raises(ValueError):
@@ -596,3 +604,13 @@ class TestStructures:
         assert lines[0] == "word,count,frequency"
         assert len(lines) == 9
         assert lines[1].startswith("000,")
+
+    def test_histogram_csv_refuses_past_the_enumeration_limit(self):
+        # the file fails its first write, so a missing check stops at the
+        # header rather than listing 2**70 words
+        class Unwritable(io.StringIO):
+            def write(self, text):
+                raise AssertionError(f"wrote {text!r}")
+
+        with pytest.raises(TooLarge):
+            StateHistogram(n=70, counts={"0" * 70: 1}).to_csv(Unwritable())
