@@ -131,35 +131,36 @@ def threshold_states(trace: TelegraphTrace) -> tuple[LevelEstimate, TelegraphTra
         raise UnimodalTrace("constant trace has no second level")
 
     thr = 0.5 * (lo + hi)
-    m_low = m_high = None
     for _ in range(64):
         mask = x >= thr
-        n_high = int(mask.sum())
-        if n_high == 0 or n_high == n:
+        high, low = x[mask], x[~mask]
+        if high.size == 0 or low.size == 0:
             raise UnimodalTrace("threshold collapsed onto one cluster")
-        m_high = float(x[mask].mean())
-        m_low = float(x[~mask].mean())
+        m_high = float(high.mean())
+        m_low = float(low.mean())
         new = 0.5 * (m_low + m_high)
         if new == thr:
             break
         thr = new
+    else:  # unsettled: split by the last threshold, keep the last means
+        mask = x >= thr
+        high, low = x[mask], x[~mask]
 
-    mask = x >= thr
     gap = m_high - m_low
     # deviations in units of the gap, so a trace near the largest double does
     # not overflow their squares; the test reads gap < 4 * pooled sigma
     ss = 0.0
-    for dev, level in ((x[~mask], m_low), (x[mask], m_high)):
-        dev -= level  # a copy: boolean indexing
+    for dev, level in ((low, m_low), (high, m_high)):
+        dev -= level  # boolean indexing made these copies
         dev /= gap
         ss += float(dev @ dev)
     pooled = np.sqrt(ss / (n - 2))
     if 1.0 < 4.0 * pooled:
         raise UnimodalTrace(f"level gap {gap:.4g} under 4x pooled sigma {pooled * gap:.4g}")
-    levels = LevelEstimate(r_low=m_low, r_high=m_high, threshold=0.5 * (m_low + m_high))
-    labels = (x >= levels.threshold).astype(np.uint8)
+    # thr is the midpoint of the means it split by, so mask is the labelling
+    levels = LevelEstimate(r_low=m_low, r_high=m_high, threshold=thr)
     labeled = TelegraphTrace(
-        sample_interval=trace.sample_interval, values=x, labels=labels
+        sample_interval=trace.sample_interval, values=x, labels=mask.view(np.uint8)
     )
     return levels, labeled
 
@@ -176,8 +177,9 @@ def autocorrelation(trace: TelegraphTrace, max_lag: int) -> np.ndarray:
     acf(0) = 1 exactly.  Returns an array of (lag_seconds, acf) rows.
 
     Exact two-level traces use a run-length path that is algebraically
-    identical to the definition but costs O(runs) per lag; everything else
-    goes through a blocked FFT.
+    identical to the definition, unless their expected count of run-boundary
+    pairs within max_lag exceeds _SPIKE_PAIR_BUDGET; those and every other
+    trace go through a blocked FFT.
     """
     x = np.asarray(trace.values, dtype=float)
     n = x.size
@@ -237,51 +239,35 @@ def _acf_two_level(z: np.ndarray, max_lag: int) -> np.ndarray:
     Writes the raw correlation C(k) = sum_t z_t z_{t+k} of the zero-extended
     sequence through its second difference, which is the correlation of the
     boundary-spike train d_t = z_t - z_{t-1}: C(k+1) = 2C(k) - C(k-1) - D(k)
-    with D(k) = sum_t d_t d_{t+k}.  D has one spike pair per nearby run
-    boundary pair, so it costs O(runs * max_lag / mean_run).
+    with D(k) = sum_t d_t d_{t+k}.  The spikes alternate +1, -1, so spikes j
+    apart multiply to (-1)**j and D is summed one spike offset j at a time,
+    down to the first offset with no spike pair closer than max_lag.  Memory
+    is linear in the spikes; time is one pass over them per offset, up to
+    max_lag passes where switching is densest.
     """
     n = z.size
-    zi = z.astype(np.int8)
-    change = np.flatnonzero(np.diff(zi)) + 1
-    pos = change.astype(np.int64)
-    sgn = (zi[change].astype(np.int64) * 2) - 1
-    if z[0]:
-        pos = np.concatenate([[0], pos])
-        sgn = np.concatenate([[1], sgn])
-    if z[-1]:
-        pos = np.concatenate([pos, [n]])
-        sgn = np.concatenate([sgn, [-1]])
-
-    ones_total = int(zi.sum())
-    n_ones_runs = int((sgn > 0).sum())
+    pos = np.flatnonzero(np.diff(z.view(np.int8), prepend=np.int8(0), append=np.int8(0)))
+    ones_total = int(np.count_nonzero(z))
     zbar = ones_total / n
     denom = ones_total - n * zbar * zbar  # sum (z - zbar)^2 for a 0/1 signal
 
-    # spike pair products D(k) for 1 <= k <= max_lag
-    hi = np.searchsorted(pos, pos + max_lag, side="right")
-    cnt = hi - np.arange(pos.size) - 1
-    total = int(cnt.sum())
-    if total > 0:
-        p_idx = np.repeat(np.arange(pos.size), cnt)
-        offsets = np.concatenate([[0], np.cumsum(cnt)[:-1]])
-        q_idx = np.arange(total) - np.repeat(offsets, cnt) + p_idx + 1
-        diffs = pos[q_idx] - pos[p_idx]
-        weights = (sgn[p_idx] * sgn[q_idx]).astype(float)
-        spikes = np.bincount(diffs, weights=weights, minlength=max_lag + 1)
-    else:
-        spikes = np.zeros(max_lag + 1)
+    # spike pair products D(k) for 1 <= k < max_lag, the lags the recurrence reads
+    spikes = np.zeros(max_lag, dtype=np.int64)
+    for j in range(1, pos.size):
+        gap = pos[j:] - pos[:-j]
+        gap = gap[gap < max_lag]
+        if gap.size == 0:
+            break
+        spikes += (-1) ** j * np.bincount(gap, minlength=max_lag)
 
-    corr = np.empty(max_lag + 1)
-    corr[0] = ones_total
-    if max_lag >= 1:
-        corr[1] = ones_total - n_ones_runs
-    for k in range(1, max_lag):
-        corr[k + 1] = 2.0 * corr[k] - corr[k - 1] - spikes[k]
+    # C(k) = C(0) - k * runs - sum_{i<k} sum_{l<=i} D(l), exact in int64
+    ks = np.arange(max_lag + 1)
+    drift = np.concatenate([[0], np.cumsum(np.cumsum(spikes))])
+    corr = ones_total - ks * (pos.size // 2) - drift
 
     # ones among the first and among the last k samples, 0 <= k <= max_lag
-    head = np.concatenate([[0], np.cumsum(zi[:max_lag], dtype=np.int64)])
-    tail = np.concatenate([[0], np.cumsum(zi[: n - max_lag - 1 : -1], dtype=np.int64)])
-    ks = np.arange(max_lag + 1)
+    head = np.concatenate([[0], np.cumsum(z[:max_lag], dtype=np.int64)])
+    tail = np.concatenate([[0], np.cumsum(z[: n - max_lag - 1 : -1], dtype=np.int64)])
     s1 = ones_total - tail              # sum of z_t over t < n-k
     s2 = ones_total - head              # sum of z_t over t >= k
     return (corr - zbar * (s1 + s2) + (n - ks) * zbar * zbar) / denom

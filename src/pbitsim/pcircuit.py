@@ -201,11 +201,15 @@ class EmpiricalActivation:
 
 
 def _isotonic(y: list) -> list:
-    """Pool-adjacent-violators pass producing a non-decreasing sequence."""
+    """Pool-adjacent-violators pass producing a non-decreasing sequence.
+
+    Blocks pool only where a mean, as it is written out, exceeds the next
+    one, so a non-decreasing input comes back unchanged.
+    """
     level = []  # (sum, count)
     for v in y:
         s, c = v, 1
-        while level and level[-1][0] * c >= s * level[-1][1]:
+        while level and level[-1][0] / level[-1][1] > s / c:
             ps, pc = level.pop()
             s += ps
             c += pc

@@ -102,6 +102,24 @@ class TestThresholdStates:
         with pytest.raises(ValueError):
             threshold_states(short)
 
+    @given(
+        n=st.integers(100, 3000),
+        p_switch=st.floats(0.001, 0.5),
+        sigma=st.floats(0.0, 0.1),
+        scale=st.sampled_from([1.0, 3e4, 1e300]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_labels_match_reported_threshold(self, n, p_switch, sigma, scale, seed):
+        rng = np.random.default_rng(seed)
+        high = np.cumsum(rng.random(n) < p_switch) % 2 == 1
+        values = (np.where(high, 1.3, 1.0) + rng.normal(0.0, sigma, n)) * scale
+        try:
+            levels, labeled = threshold_states(TelegraphTrace(1e-4, values))
+        except UnimodalTrace:
+            return
+        assert labeled.labels.dtype == np.uint8
+        assert np.array_equal(labeled.labels, values >= levels.threshold)
+
 
 class TestTmrFromLevels:
     def test_reference(self):
@@ -175,6 +193,19 @@ class TestAutocorrelation:
             s1, s2 = cum[n - ks], ones - cum[ks]
             old = (corr - zbar * (s1 + s2) + (n - ks) * zbar * zbar) / (ones - n * zbar * zbar)
             assert np.array_equal(_acf_two_level(z, max_lag), old)
+
+    def test_two_level_memory_is_linear_in_the_spikes(self):
+        # about 0.3 spikes per sample, each with a dozen more within 40 lags
+        n = 1_000_000
+        rng = np.random.default_rng(5)
+        z = np.cumsum(rng.random(n) < 0.3) % 2 == 1
+        tracemalloc.start()
+        try:
+            _acf_two_level(z, 40)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * n, peak
 
     @pytest.mark.parametrize(
         "values,path",

@@ -79,6 +79,23 @@ class TestActivations:
         seq = _isotonic([0.5, 0.1, 0.9, 0.2, 0.8])
         assert all(b >= a for a, b in zip(seq, seq[1:]))
 
+    def test_isotonic_leaves_a_monotone_input_unchanged(self):
+        assert _isotonic([0.1] * 3) == [0.1] * 3
+
+    @given(
+        st.lists(
+            st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.7, 1.0])),
+            max_size=40,
+        )
+    )
+    # pooled sums round: 0.2 + 0.1 + 0.0 gives a first block of mean
+    # 0.10000000000000002, above the 0.1 that follows it
+    @example([0.2, 0.1, 0.0, 0.1, 0.7, 0.0, 0.1])
+    def test_isotonic_is_idempotent(self, y):
+        once = _isotonic(y)
+        assert all(b >= a for a, b in zip(once, once[1:]))
+        assert _isotonic(once) == once
+
     def test_empirical_tracks_ideal_on_logistic_table(self):
         # table generated from the ideal tanh itself must reproduce it
         width = 0.01
