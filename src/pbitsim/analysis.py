@@ -11,6 +11,7 @@ provides the independent cross check.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,6 +25,10 @@ from .smtj import TelegraphTrace
 
 class UnimodalTrace(AnalysisError):
     """Raised when a trace does not separate into two resistance levels."""
+
+
+class LevelOverflow(AnalysisError):
+    """Raised when the resistance levels of a trace overflow a double."""
 
 
 class ZeroVariance(AnalysisError):
@@ -120,7 +125,8 @@ def threshold_states(trace: TelegraphTrace) -> tuple[LevelEstimate, TelegraphTra
     Levels are the means of the two sample clusters found by iterating the
     intermeans threshold (deterministic, no k-means randomness); the reported
     threshold is their midpoint.  Raises UnimodalTrace when the level gap is
-    under 4x the pooled intra-level standard deviation.
+    under 4x the pooled intra-level standard deviation, and LevelOverflow
+    when the level means or their midpoint overflow a double.
     """
     x = trace.values
     n = x.size
@@ -131,14 +137,19 @@ def threshold_states(trace: TelegraphTrace) -> tuple[LevelEstimate, TelegraphTra
         raise UnimodalTrace("constant trace has no second level")
 
     thr = 0.5 * (lo + hi)
+    if not math.isfinite(thr):
+        raise LevelOverflow(f"samples from {lo:.4g} to {hi:.4g} ohm overflow their midpoint")
     for _ in range(64):
         mask = x >= thr
         high, low = x[mask], x[~mask]
         if high.size == 0 or low.size == 0:
             raise UnimodalTrace("threshold collapsed onto one cluster")
-        m_high = float(high.mean())
-        m_low = float(low.mean())
+        with np.errstate(over="ignore"):  # an overflowing mean is reported below
+            m_high = float(high.mean())
+            m_low = float(low.mean())
         new = 0.5 * (m_low + m_high)
+        if not math.isfinite(new):
+            raise LevelOverflow(f"level means overflow: {m_low:.4g} and {m_high:.4g} ohm")
         if new == thr:
             break
         thr = new
@@ -177,9 +188,9 @@ def autocorrelation(trace: TelegraphTrace, max_lag: int) -> np.ndarray:
     acf(0) = 1 exactly.  Returns an array of (lag_seconds, acf) rows.
 
     Exact two-level traces use a run-length path that is algebraically
-    identical to the definition, unless their expected count of run-boundary
-    pairs within max_lag exceeds _SPIKE_PAIR_BUDGET; those and every other
-    trace go through a blocked FFT.
+    identical to the definition.  That path declines a trace whose expected
+    count of run-boundary pairs within max_lag exceeds _SPIKE_PAIR_BUDGET;
+    those and every other trace go through a blocked FFT.
     """
     x = np.asarray(trace.values, dtype=float)
     n = x.size
@@ -190,10 +201,8 @@ def autocorrelation(trace: TelegraphTrace, max_lag: int) -> np.ndarray:
         raise ZeroVariance("constant trace has no correlation structure")
 
     z = x == hi
-    n_spikes = 2 * np.count_nonzero(np.diff(z)) if np.all(z | (x == lo)) else np.inf
-    if n_spikes * n_spikes * max_lag <= _SPIKE_PAIR_BUDGET * n:
-        acf = _acf_two_level(z, max_lag)
-    else:
+    acf = _acf_two_level(z, max_lag) if np.all(z | (x == lo)) else None
+    if acf is None:
         acf = _acf_fft(x, max_lag)
     acf[0] = 1.0
     lags = np.arange(max_lag + 1) * trace.sample_interval
@@ -233,8 +242,9 @@ def _next_fast_len(target: int) -> int:
     return best
 
 
-def _acf_two_level(z: np.ndarray, max_lag: int) -> np.ndarray:
-    """Exact biased ACF of a boolean sequence in O(runs) instead of O(n log n).
+def _acf_two_level(z: np.ndarray, max_lag: int) -> np.ndarray | None:
+    """Exact biased ACF of a boolean sequence in O(runs) instead of O(n log n);
+    None when it expects more spike pairs than _SPIKE_PAIR_BUDGET allows.
 
     Writes the raw correlation C(k) = sum_t z_t z_{t+k} of the zero-extended
     sequence through its second difference, which is the correlation of the
@@ -246,7 +256,10 @@ def _acf_two_level(z: np.ndarray, max_lag: int) -> np.ndarray:
     max_lag passes where switching is densest.
     """
     n = z.size
-    pos = np.flatnonzero(np.diff(z.view(np.int8), prepend=np.int8(0), append=np.int8(0)))
+    pos = _true_runs(z)
+    inner = pos.size - int(z[0]) - int(z[-1])  # boundaries between two samples
+    if (2 * inner) ** 2 * max_lag > _SPIKE_PAIR_BUDGET * n:
+        return None
     ones_total = int(np.count_nonzero(z))
     zbar = ones_total / n
     denom = ones_total - n * zbar * zbar  # sum (z - zbar)^2 for a 0/1 signal
@@ -275,6 +288,11 @@ def _acf_two_level(z: np.ndarray, max_lag: int) -> np.ndarray:
 
 # Above this expected spike-pair count the run-length path loses to the FFT.
 _SPIKE_PAIR_BUDGET = 2e7
+
+
+def _true_runs(mask: np.ndarray) -> np.ndarray:
+    """Starts and exclusive ends of the runs of True in a bool array, interleaved."""
+    return np.flatnonzero(np.diff(mask.view(np.int8), prepend=np.int8(0), append=np.int8(0)))
 
 
 def fit_dwell_time(acf, dt: float, occupancy: float) -> DwellEstimate:
@@ -327,9 +345,9 @@ def mean_dwell_direct(trace: TelegraphTrace) -> float:
     if trace.labels is None:
         raise ValueError("trace must be labeled; run threshold_states first")
     lab = trace.labels
-    edges = np.concatenate([[0], np.flatnonzero(np.diff(lab)) + 1, [lab.size]])
-    lengths = np.diff(edges)[1:-1]
-    states = lab[edges[1:-2]] if lengths.size else np.empty(0, dtype=np.uint8)
+    starts = np.flatnonzero(np.diff(lab)) + 1  # of every run but the first
+    lengths = np.diff(starts)
+    states = lab[starts[:-1]]
     if lengths.size < 100:
         raise TooFewTransitions(f"only {lengths.size} interior runs, need 100")
     mean_low = lengths[states == 0].mean()
@@ -358,13 +376,14 @@ def extract_stochastic_window(
     if not inside.any():
         raise NoWindow("no sweep point lies strictly between the saturation bands")
 
-    i0, i1 = _longest_true_block(inside)
-    b_low = b[i0 - 1] if i0 > 0 else b[i0]
-    b_high = b[i1 + 1] if i1 < b.size - 1 else b[i1]
+    start, stop = _true_runs(inside).reshape(-1, 2).T
+    k = int(np.argmax(stop - start))
+    b_low = b[max(start[k] - 1, 0)]
+    b_high = b[min(stop[k], b.size - 1)]
 
     mid = 0.5 * (levels.r_low + levels.r_high)
     d = r - mid
-    cross = np.flatnonzero(d[:-1] * d[1:] <= 0)
+    cross = np.flatnonzero(np.sign(d[:-1]) * np.sign(d[1:]) <= 0)
     cross = cross[(d[cross] != 0) | (d[cross + 1] != 0)]
     if cross.size == 0:
         raise NoWindow("averaged resistance never crosses the level midpoint")
@@ -376,15 +395,6 @@ def extract_stochastic_window(
     if not b_low < b_5050 < b_high:
         raise NoWindow("midpoint crossing fell outside the fluctuating region")
     return StochasticWindow(b_low=float(b_low), b_high=float(b_high), b_5050=float(b_5050))
-
-
-def _longest_true_block(mask: np.ndarray) -> tuple[int, int]:
-    idx = np.flatnonzero(mask)
-    breaks = np.flatnonzero(np.diff(idx) > 1)
-    starts = np.concatenate([[0], breaks + 1])
-    ends = np.concatenate([breaks, [idx.size - 1]])
-    best = int(np.argmax(ends - starts))
-    return int(idx[starts[best]]), int(idx[ends[best]])
 
 
 def bias_sidecar(path) -> Path:

@@ -67,23 +67,16 @@ class SmtjParams:
             raise ValueError(f"window_width must be > 0, got {self.window_width}")
 
     def to_json(self) -> dict:
-        return {
-            "r_parallel_ohm": self.r_parallel,
-            "tmr": self.tmr,
-            "tau_mean_s": self.tau_mean,
-            "b_5050_T": self.b_5050,
-            "window_width_T": self.window_width,
-        }
+        return {key: getattr(self, name) for name, key in _SMTJ_KEYS.items()}
 
     @classmethod
     def from_json(cls, obj: dict) -> "SmtjParams":
-        return cls(
-            r_parallel=obj["r_parallel_ohm"],
-            tmr=obj["tmr"],
-            tau_mean=obj["tau_mean_s"],
-            b_5050=obj["b_5050_T"],
-            window_width=obj["window_width_T"],
-        )
+        return cls(**{name: obj[key] for name, key in _SMTJ_KEYS.items()})
+
+
+# SmtjParams field -> its config and JSON key
+_SMTJ_KEYS = {"r_parallel": "r_parallel_ohm", "tmr": "tmr", "tau_mean": "tau_mean_s",
+              "b_5050": "b_5050_T", "window_width": "window_width_T"}
 
 
 def r_antiparallel(p: SmtjParams) -> float:
@@ -188,7 +181,10 @@ def calibrate_match(p: PbitParams) -> NmosParams:
     geometric mean of the two junction resistances, which places the inverter
     threshold strictly between the two drain levels at midscale input.
     """
-    target = math.sqrt(p.smtj.r_parallel * r_antiparallel(p.smtj))
+    r_p, r_ap = p.smtj.r_parallel, r_antiparallel(p.smtj)
+    target = math.sqrt(r_p * r_ap)
+    if math.isinf(target):  # the product overflows; this form is within two ulps
+        target = math.sqrt(r_p) * math.sqrt(r_ap)
     v_on = p.v_dd / 2 - p.nmos.v_threshold
     if v_on <= 0:
         raise ValueError("v_threshold leaves no gate drive at v_dd / 2")

@@ -13,6 +13,7 @@ from pbitsim.analysis import (
     FieldSweep,
     FitDiverged,
     LevelEstimate,
+    LevelOverflow,
     NoWindow,
     StochasticWindow,
     TooFewTransitions,
@@ -71,6 +72,19 @@ class TestThresholdStates:
         blur = TelegraphTrace(1e-4, 27600.0 + rng.normal(0, 300, 5000))
         with pytest.raises(UnimodalTrace):
             threshold_states(blur)
+
+    @pytest.mark.parametrize(
+        "low,high,message",
+        [
+            (1e306, 1.145e306, "level means overflow"),  # 500 of each sum past a double
+            (1e308, 1.5e308, "overflow their midpoint"),
+            (1e308, np.inf, "overflow their midpoint"),
+        ],
+    )
+    def test_overflowing_levels_rejected(self, low, high, message):
+        values = np.where(np.arange(1000) % 20 < 10, low, high)
+        with pytest.raises(LevelOverflow, match=message):
+            threshold_states(TelegraphTrace(1e-4, values))
 
     def test_read_noise_levels_within_1pct(self):
         tr = sample_trajectory(SLOW, SLOW.b_5050, 2.0, 1e-4, seed=3)
@@ -226,6 +240,25 @@ class TestAutocorrelation:
             monkeypatch.setattr(analysis, name, record)
         autocorrelation(TelegraphTrace(1e-5, np.tile(values, 10)), 4)
         assert ran == [path]
+
+    def test_two_level_path_declines_one_boundary_past_the_budget(self, monkeypatch):
+        # ten interior runs make 20 boundaries between samples; a run up to the
+        # last sample adds one more
+        n, max_lag = 1000, 10
+        at_budget = np.zeros(n, dtype=bool)
+        for start in range(50, 1000, 100):
+            at_budget[start : start + 20] = True
+        past = at_budget.copy()
+        past[-10:] = True
+        run_length = _acf_two_level(past, max_lag)
+        expected = [_acf_two_level(at_budget, max_lag), _acf_fft(past.astype(float), max_lag)]
+        # the two paths tell apart on the trace past the budget
+        assert run_length[1:].tobytes() != expected[1][1:].tobytes()
+        monkeypatch.setattr(analysis, "_SPIKE_PAIR_BUDGET", (2 * 20) ** 2 * max_lag / n)
+        for z, acf in zip((at_budget, past), expected):
+            acf[0] = 1.0
+            got = autocorrelation(TelegraphTrace(1e-5, z.astype(float)), max_lag)
+            assert got[:, 1].tobytes() == acf.tobytes()
 
     @given(data=st.lists(st.sampled_from([10.0, 20.0]), min_size=30, max_size=200))
     def test_bounded_by_one(self, data):
@@ -417,6 +450,29 @@ class TestMeanDwellDirect:
     def test_needs_labels(self):
         with pytest.raises(ValueError):
             mean_dwell_direct(TelegraphTrace(1e-4, np.array([1.0, 2.0])))
+
+    @settings(deadline=None)
+    @given(n_runs=st.integers(1, 250), seed=st.integers(0, 2**32 - 1),
+           first=st.integers(0, 1), dt=st.floats(1e-9, 1.0))
+    def test_matches_a_loop_over_interior_runs(self, n_runs, seed, first, dt):
+        lengths = np.random.default_rng(seed).integers(1, 7, n_runs)
+        labels = np.repeat((np.arange(n_runs) + first) % 2, lengths).astype(np.uint8)
+        tr = TelegraphTrace(dt, labels.astype(float), labels)
+        runs = []  # [state, length] of every run, first and last included
+        for state in labels.tolist():
+            if runs and runs[-1][0] == state:
+                runs[-1][1] += 1
+            else:
+                runs.append([state, 1])
+        interior = runs[1:-1]
+        if len(interior) < 100:
+            with pytest.raises(TooFewTransitions) as err:
+                mean_dwell_direct(tr)
+            assert str(err.value) == f"only {len(interior)} interior runs, need 100"
+            return
+        means = [sum(n for s, n in interior if s == state) / sum(s == state for s, _ in interior)
+                 for state in (0, 1)]
+        assert mean_dwell_direct(tr) == 0.5 * (means[0] + means[1]) * dt
 
     def test_cross_method_consistency(self):
         tr = sample_trajectory(SLOW, SLOW.b_5050, 45.0, 1e-5, seed=6)

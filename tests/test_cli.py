@@ -599,7 +599,9 @@ def _in_range_config(draw, command):
         cfg["jobs"] = draw(st.integers(1, 4))
     if command == "smtj-trace":
         dt = draw(_INTERVAL)
-        cfg.update(dt_s=dt, duration_s=dt * draw(st.integers(1, 5000)),
+        cfg.update(r_parallel_ohm=draw(_ANY_POSITIVE),
+                   tmr=draw(st.floats(min_value=0.0, allow_infinity=False)),
+                   dt_s=dt, duration_s=dt * draw(st.integers(1, 5000)),
                    bias_current_A=draw(_ANY_POSITIVE),
                    input_trace=draw(st.sampled_from([None, "voltage export"])))
     elif command == "field-sweep":
@@ -664,16 +666,18 @@ def test_in_range_config_runs_or_exits_3(voltage_export, command, data):
         if code == 0:
             for f in out.iterdir():
                 if f.suffix != ".svg":
-                    assert not re.search(r"\bnan\b|NaN|\binf", f.read_text()), f.name
+                    assert not re.search(r"\bnan\b|NaN|\binf|Infinity", f.read_text()), f.name
 
 
-# Values inside their own bounds that overflow a sample or dwell count, or for
-# i0 the state energies: each exits 3 with one line, not a traceback or NaN
-# probabilities.
+# Values inside their own bounds that overflow a sample or dwell count, the
+# sMTJ's resistance levels, or for i0 the state energies: each exits 3 with one
+# line, not a traceback, NaN probabilities or an infinite level.
 @pytest.mark.parametrize(
     "argv",
     [
         ["smtj-trace", "--duration-s", 1, "--dt-s", 5e-324],
+        ["smtj-trace", "--r-parallel-ohm", 1e308, "--tmr", 1, "--duration-s", 0.5],
+        ["smtj-trace", "--r-parallel-ohm", 1e304, "--duration-s", 1],
         ["field-sweep", "--point-duration-s", 1, "--dt-s", 5e-324],
         ["transfer", "--sample-interval-s", 1.7e308],
         ["transfer", "--n-per-point", 1, "--sample-interval-s", 1e306],
@@ -1093,6 +1097,18 @@ class TestFieldSweep:
         ) == 0
         window = read_json(tmp_path / "window.json")
         assert window["width_T"] == pytest.approx(0.2e-3, rel=0.25)
+
+    @pytest.mark.parametrize("r_parallel", [1e-200, 1e302])
+    def test_window_does_not_depend_on_the_resistance_scale(self, tmp_path, r_parallel):
+        # the midpoint sign test neither underflows nor overflows at the far scales
+        fields = ("b_low_T", "b_high_T", "b_5050_T")
+        windows = []
+        for r in (27.6e3, r_parallel):
+            out = tmp_path / f"{r:g}"
+            assert run("field-sweep", "--out-dir", out, "--r-parallel-ohm", r,
+                       "--point-duration-s", 0.2) == 0
+            windows.append({k: read_json(out / "window.json")[k] for k in fields})
+        assert windows[0] == windows[1]
 
     def test_sweep_outside_window_exits_3(self, tmp_path):
         assert run(

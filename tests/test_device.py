@@ -1,5 +1,6 @@
 import io
 import math
+from decimal import Decimal
 import tracemalloc
 
 import numpy as np
@@ -25,6 +26,7 @@ from pbitsim.params import (
     PbitParams,
     calibrate_match,
     nmos_resistance,
+    r_antiparallel,
 )
 from pbitsim.smtj import MtjState, SmtjParams
 
@@ -123,6 +125,14 @@ class TestCalibrateMatch:
         target = math.sqrt(27600.0 * 31602.0)
         assert nmos_resistance(cal, 0.6) == pytest.approx(target, rel=1e-12)
         assert target == pytest.approx(29.53e3, rel=1e-3)
+
+    def test_large_junction_keeps_a_finite_k_factor(self):
+        # r_parallel * r_antiparallel overflows a double above about 1.25e154
+        p = PbitParams(smtj=SmtjParams(r_parallel=1e160))
+        cal = calibrate_match(p)
+        assert math.isfinite(cal.k_factor) and cal.k_factor > 0
+        target = (Decimal(p.smtj.r_parallel) * Decimal(r_antiparallel(p.smtj))).sqrt()
+        assert nmos_resistance(cal, 0.6) == pytest.approx(float(target), rel=1e-15)
 
     def test_zero_tmr_matches_parallel(self):
         p = PbitParams(smtj=SmtjParams(tmr=0.0))
