@@ -486,7 +486,12 @@ def _read_rows(path: Path, skiprows: int) -> tuple[float, np.ndarray]:
     if bad is not None:
         raise TraceFormatError(f"sample {bad} is not finite: {flat[bad]}")
     del flat  # resize refuses to run while a view is alive
-    rows.resize((n + 1) // 2)
+    try:
+        rows.resize((n + 1) // 2)
+    except ValueError:
+        # a tracer or debugger holds a second reference to rows through its
+        # snapshot of this frame's locals; a copy leaves its view valid
+        return dt, rows.view(float)[:n].copy()
     return dt, rows.view(float)[:n]
 
 

@@ -45,48 +45,35 @@ from .params import (
     r_antiparallel,
 )
 
-# The names the runners call from the other modules, by module.  None of
-# them is imported with this module: a runner binds its modules' names here
+# The modules the runners call into.  None of them is imported with this
+# module: a runner binds the functions and classes its modules define here
 # first (_load), and so does looking a name up on this module (__getattr__).
 # So a command imports only what it runs, and --help or a rejected config
 # loads no NumPy.  The runners look the names up here when they call them,
 # so a name set on this module (a test's stub, perfbench's traced wrapper)
 # is the one that runs.
-_LAZY = {
-    "analysis": (
-        "FieldSweep", "LevelEstimate", "autocorrelation", "bias_sidecar",
-        "extract_stochastic_window", "fit_dwell_time", "load_trace", "mean_dwell_direct",
-        "threshold_states", "tmr_from_levels",
-    ),
-    "device": ("fit_sigmoid", "mixed_region_span", "transfer_curve"),
-    "fit": ("FitDiverged",),
-    "metrics": ("comparison_table", "write_perf_csv"),
-    "pcircuit": (
-        "EmpiricalActivation", "IdealTanh", "and_gate", "boltzmann_exact", "clamp",
-        "compare_to_oracle", "gibbs_run", "or_gate",
-    ),
-    "smtj": ("_point_seed", "sample_trajectory", "simulate_field_sweep"),
-    "svg": ("bar_svg", "line_svg"),
-}
+_MODULES = ("analysis", "device", "fit", "metrics", "pcircuit", "smtj", "svg")
 
 
 def _load(*modules: str) -> None:
-    """Import modules and bind their _LAZY names here, keeping any already bound."""
+    """Import modules and bind the functions and classes each defines here,
+    keeping any name already bound."""
     for module in modules:
         # the import statement's own path, which -X importtime reports and
         # importlib.import_module bypasses
         __import__(f"{__package__}.{module}")
         loaded = sys.modules[f"{__package__}.{module}"]
-        for name in _LAZY[module]:
-            globals().setdefault(name, getattr(loaded, name))
+        for name, value in vars(loaded).items():
+            if callable(value) and getattr(value, "__module__", None) == loaded.__name__:
+                globals().setdefault(name, value)
 
 
 def __getattr__(name: str):
-    module = next((m for m, names in _LAZY.items() if name in names), None)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _load(module)
-    return globals()[name]
+    if not name.startswith("__"):
+        _load(*_MODULES)
+        if name in globals():
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 EXIT_OK = 0
@@ -314,11 +301,11 @@ def _require(cond: bool, message: str) -> None:
         raise ConfigError(message)
 
 
-def _grid_count(start: float, stop: float, step: float, name: str) -> int:
+def _grid(start: float, stop: float, step: float, name: str) -> list:
     """Points start + k * step up to stop, or to within 1e-9 steps short of it.
 
-    The count is checked before any grid is built: a step far below the span
-    would otherwise ask for a list or array of astronomically many points.
+    The count is checked before the grid is built: a step far below the span
+    would otherwise ask for a list of astronomically many points.
     """
     steps = (stop - start) / step + 1e-9
     # floor(steps) < _GRID_POINTS exactly when steps is, and math.floor
@@ -327,7 +314,7 @@ def _grid_count(start: float, stop: float, step: float, name: str) -> int:
         steps < _GRID_POINTS,
         f"{name} grid of step {step:g} holds more than {_GRID_POINTS} points",
     )
-    return math.floor(steps) + 1
+    return [start + k * step for k in range(math.floor(steps) + 1)]
 
 
 def _smtj_from_cfg(cfg: dict) -> SmtjParams:
@@ -399,15 +386,20 @@ def cmd_field_sweep(cfg: dict, given: set) -> dict:
     smtj = _smtj_from_cfg(cfg)
     _require(cfg["b_max_T"] > cfg["b_min_T"], "b_max_T must exceed b_min_T")
     _require(cfg["point_duration_s"] >= cfg["dt_s"], "point_duration_s must cover one sample")
-    count = _grid_count(cfg["b_min_T"], cfg["b_max_T"], cfg["b_step_T"], "field")
-    _require(count >= 2, "sweep needs at least two field points")
+    grid = _grid(cfg["b_min_T"], cfg["b_max_T"], cfg["b_step_T"], "field")
+    _require(len(grid) >= 2, "sweep needs at least two field points")
 
-    grid = [cfg["b_min_T"] + cfg["b_step_T"] * k for k in range(count)]
+    r_p, r_ap = smtj.r_parallel, r_antiparallel(smtj)
+    mid = 0.5 * (r_p + r_ap)
+    if not math.isfinite(mid):
+        raise LevelOverflow(f"levels {r_p:.4g} and {r_ap:.4g} ohm overflow their midpoint")
     points = simulate_field_sweep(
         smtj, grid, cfg["point_duration_s"], cfg["dt_s"], cfg["seed"], jobs=cfg["jobs"]
     )
-    r_p, r_ap = smtj.r_parallel, r_antiparallel(smtj)
-    levels = LevelEstimate(r_low=r_p, r_high=r_ap, threshold=0.5 * (r_p + r_ap))
+    overflowed = [b for b, r in points if not math.isfinite(r)]
+    if overflowed:
+        raise LevelOverflow(f"mean resistance at {overflowed[0]:.4g} T overflows a double")
+    levels = LevelEstimate(r_low=r_p, r_high=r_ap, threshold=mid)
     window = extract_stochastic_window(FieldSweep(points), levels)
 
     rows = "".join(f"{b:.12g},{r:.12g}\n" for b, r in points)
@@ -457,29 +449,32 @@ def _pbit_from_cfg(cfg: dict) -> PbitParams:
 
 def _transfer_grid(cfg: dict) -> list:
     # the stepped grid must hold a point even where an input list overrides it
-    count = _grid_count(cfg["v_start_V"], cfg["v_stop_V"], cfg["v_step_V"], "input")
-    _require(count >= 1, "v_stop_V must not lie below v_start_V")
+    grid = _grid(cfg["v_start_V"], cfg["v_stop_V"], cfg["v_step_V"], "input")
+    _require(len(grid) >= 1, "v_stop_V must not lie below v_start_V")
     if cfg["v_inputs_V"] is not None:
         grid = [float(v) for v in cfg["v_inputs_V"]]
-    else:
-        grid = [cfg["v_start_V"] + k * cfg["v_step_V"] for k in range(count)]
     _require(len(grid) >= 1, "input grid is empty")
     v_dd = cfg["v_dd_V"]
     _require(all(0 <= v <= v_dd for v in grid), "grid inputs must lie in [0, v_dd]")
     return grid
 
 
-def cmd_transfer(cfg: dict, given: set) -> dict:
-    _load("device", "fit")
+def _measure_transfer(cfg: dict, seed) -> tuple[PbitParams, TransferCurve]:
+    """The P-Bit of a transfer config and its curve over the config's grid."""
     p = _pbit_from_cfg(cfg)
     grid = _transfer_grid(cfg)
     b = cfg["b_field_T"] if cfg["b_field_T"] is not None else p.smtj.b_5050
     curve = transfer_curve(
-        p, grid, cfg["n_per_point"], cfg["sample_interval_s"], b, cfg["seed"],
-        jobs=cfg["jobs"],
+        p, grid, cfg["n_per_point"], cfg["sample_interval_s"], b, seed, jobs=cfg["jobs"]
     )
+    return p, curve
 
-    if len(grid) >= 4:
+
+def cmd_transfer(cfg: dict, given: set) -> dict:
+    _load("device", "fit")
+    p, curve = _measure_transfer(cfg, cfg["seed"])
+
+    if len(curve.points) >= 4:
         try:
             center, width = fit_sigmoid(curve.v_in, curve.means, p.v_dd)
         except FitDiverged:
@@ -488,7 +483,7 @@ def cmd_transfer(cfg: dict, given: set) -> dict:
         center = width = None
 
     files = {"samples.csv": curve.to_samples_csv, "curve.csv": curve.to_summary_csv}
-    if cfg["svg"] and len(grid) >= 2:
+    if cfg["svg"] and len(curve.points) >= 2:
         _load("svg")
         files["curve.svg"] = line_svg(
             curve.v_in, curve.means,
@@ -513,16 +508,9 @@ def _default_empirical_activation(seed: int) -> EmpiricalActivation:
     Uses the soft-inverter mode: a hard comparator would give a three-level
     table with exactly saturated tails that pins the sampler in one state.
     """
-    p = _pbit_from_cfg({**TRANSFER_DEFAULTS, "inverter_gain": 60.0})
-    grid = [round(0.54 + 0.001 * k, 5) for k in range(121)]
-    curve = transfer_curve(
-        p,
-        grid,
-        n_per_point=2000,
-        sample_interval=0.1,
-        b=p.smtj.b_5050,
-        seed=_point_seed(seed, _ACTIVATION_STREAM),
-    )
+    cfg = {**TRANSFER_DEFAULTS, "inverter_gain": 60.0, "n_per_point": 2000,
+           "v_inputs_V": [round(0.54 + 0.001 * k, 5) for k in range(121)]}
+    p, curve = _measure_transfer(cfg, _point_seed(seed, _ACTIVATION_STREAM))
     return EmpiricalActivation.from_transfer_curve(curve, p.v_dd)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass, field
 
 
@@ -182,10 +183,20 @@ def calibrate_match(p: PbitParams) -> NmosParams:
     threshold strictly between the two drain levels at midscale input.
     """
     r_p, r_ap = p.smtj.r_parallel, r_antiparallel(p.smtj)
-    target = math.sqrt(r_p * r_ap)
-    if math.isinf(target):  # the product overflows; this form is within two ulps
-        target = math.sqrt(r_p) * math.sqrt(r_ap)
     v_on = p.v_dd / 2 - p.nmos.v_threshold
     if v_on <= 0:
         raise ValueError("v_threshold leaves no gate drive at v_dd / 2")
-    return NmosParams(v_threshold=p.nmos.v_threshold, k_factor=1.0 / (target * v_on))
+    # A product is taken only where it is a normal double; where it would
+    # overflow or underflow, the split form costs one rounding more.
+    if _is_normal(r_p * r_ap):
+        target = math.sqrt(r_p * r_ap)
+    else:
+        target = math.sqrt(r_p) * math.sqrt(r_ap)
+    k_factor = 1.0 / (target * v_on) if _is_normal(target * v_on) else 1.0 / target / v_on
+    if not 0 < k_factor < math.inf:
+        raise ValueError(f"resistance-matched k_factor must be finite and > 0, got {k_factor:g}")
+    return NmosParams(v_threshold=p.nmos.v_threshold, k_factor=k_factor)
+
+
+def _is_normal(x: float) -> bool:
+    return sys.float_info.min <= abs(x) < math.inf

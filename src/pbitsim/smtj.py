@@ -484,7 +484,8 @@ def _sweep_point(
     p: SmtjParams, duration: float, dt: float, seed, i: int, b: float
 ) -> tuple[float, float]:
     trace = sample_trajectory(p, b, duration, dt, _point_seed(seed, i))
-    return b, float(trace.values.mean())
+    with np.errstate(over="ignore"):  # field-sweep reports an overflowing mean
+        return b, float(trace.values.mean())
 
 
 def _map_points(point, items: list, jobs: int) -> list:

@@ -1,4 +1,5 @@
 import json
+import sys
 import tracemalloc
 
 import numpy as np
@@ -10,6 +11,7 @@ from scipy.optimize import curve_fit
 
 from pbitsim import analysis
 from pbitsim.analysis import (
+    DwellEstimate,
     FieldSweep,
     FitDiverged,
     LevelEstimate,
@@ -32,6 +34,7 @@ from pbitsim.analysis import (
     threshold_states,
     tmr_from_levels,
 )
+from pbitsim.fit import least_squares
 from pbitsim.smtj import (
     SmtjParams,
     TelegraphTrace,
@@ -419,6 +422,24 @@ class TestDwellFitMatchesCurveFit:
         assert est.tau_corr == pytest.approx(tau_tight, rel=1e-6)
 
 
+class TestLeastSquares:
+    @pytest.mark.parametrize(
+        "model",
+        [
+            # an exact model: the residuals start at the rounding floor
+            lambda p: (p[0] * np.arange(4.0), np.arange(4.0)[:, None]),
+            # a zero Jacobian: the gradient vanishes at the start
+            lambda p: (np.ones(4), np.zeros((4, 1))),
+        ],
+        ids=["residual-floor", "zero-gradient"],
+    )
+    def test_stops_at_the_start(self, model):
+        y = 2.0 * np.arange(4.0)
+        p, r = least_squares(model, y, [2.0], [-np.inf], [np.inf])
+        assert p.tolist() == [2.0]
+        assert np.array_equal(r, model(p)[0] - y)
+
+
 class TestNextFastLen:
     def test_smallest_5_smooth_length(self):
         def smooth(m):
@@ -534,6 +555,55 @@ class TestStochasticWindow:
         with pytest.raises(ValueError):
             FieldSweep([(-7.0e-3, 1.0), (-7.0e-3, 2.0)])
 
+    def test_point_on_the_midpoint_is_the_5050_field(self):
+        # the first points lie on the midpoint; the crossing is the last of
+        # them, where the resistance leaves it
+        levels = LevelEstimate(1.0, 2.0, 1.5)
+        sweep = FieldSweep([(0.0, 1.5), (1.0, 1.5), (2.0, 1.75), (3.0, 2.0), (4.0, 2.0)])
+        w = extract_stochastic_window(sweep, levels)
+        assert (w.b_low, w.b_5050, w.b_high) == (0.0, 1.0, 3.0)
+
+
+# Inputs each structure or analysis step refuses, with the error it names.
+_REJECTED = {
+    "levels-out-of-order": (
+        lambda tmp: LevelEstimate(r_low=1.0, r_high=2.0, threshold=3.0),
+        ValueError, "threshold must lie between the levels",
+    ),
+    "dwell-not-positive": (
+        lambda tmp: DwellEstimate(tau=0.0, tau_corr=1.0, fit_rmse=0.0),
+        ValueError, "tau must be > 0",
+    ),
+    "one-point-sweep": (
+        lambda tmp: FieldSweep([(0.0, 1.0)]), ValueError, "at least two points",
+    ),
+    "no-midpoint-crossing": (
+        lambda tmp: extract_stochastic_window(
+            FieldSweep([(0.0, 1.2), (1.0, 1.3), (2.0, 1.4)]), LevelEstimate(1.0, 2.0, 1.5)
+        ),
+        NoWindow, "never crosses the level midpoint",
+    ),
+    # the crossing lies between the first two points, the window after them
+    "crossing-outside-window": (
+        lambda tmp: extract_stochastic_window(
+            FieldSweep([(0.0, 1.9), (1.0, 1.0), (2.0, 1.0), (3.0, 1.2), (4.0, 1.3), (5.0, 1.4)]),
+            LevelEstimate(1.0, 2.0, 1.5),
+        ),
+        NoWindow, "fell outside the fluctuating region",
+    ),
+    "trace-without-data": (
+        lambda tmp: load_trace(write_lines(tmp / "scope.csv", ["# scope: ch1", "", "#", "  "])),
+        TraceFormatError, "trace file holds no data",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REJECTED))
+def test_rejected_input_names_its_fault(tmp_path, case):
+    call, error, message = _REJECTED[case]
+    with pytest.raises(error, match=message):
+        call(tmp_path)
+
 
 class TestLoadTrace:
     def test_voltage_export_with_sidecar(self, tmp_path):
@@ -573,6 +643,27 @@ class TestLoadTrace:
         back = load_trace(path)
         assert np.array_equal(back.values, tr.values)
         assert back.labels is None
+
+    def test_reads_alike_under_a_python_tracer(self, tmp_path):
+        # up to Python 3.12 a Python trace function sees each frame's locals
+        # through a snapshot that holds a second reference to every array
+        tr = sample_trajectory(FAST, FAST.b_5050, 0.02, 5e-6, seed=14)
+        path = tmp_path / "trace.csv"
+        with open(path, "w") as f:
+            tr.to_csv(f)
+        plain = load_trace(path)
+
+        def tracer(frame, event, arg):
+            return tracer
+
+        previous = sys.gettrace()
+        sys.settrace(tracer)
+        try:
+            traced = load_trace(path)
+        finally:
+            sys.settrace(previous)
+        assert traced.sample_interval == plain.sample_interval
+        assert np.array_equal(traced.values, plain.values)
 
     def test_native_state_column_not_read(self, tmp_path):
         # empty, wrong, extra and (last row) missing state cells
@@ -623,6 +714,7 @@ def expected_trace(fmt):
 def write_lines(path, lines, eol="\n"):
     with open(path, "w", newline="") as f:
         f.write(eol.join(lines) + eol)
+    return path
 
 
 class TestLoadTraceParity:

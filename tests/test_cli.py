@@ -1,6 +1,7 @@
 import ast
 import contextlib
 import hashlib
+import importlib
 import io
 import json
 import os
@@ -23,6 +24,7 @@ from pbitsim.analysis import load_trace, threshold_states
 from pbitsim import cli
 from pbitsim.cli import main
 from pbitsim.smtj import SmtjParams, sample_trajectory
+from pbitsim.svg import bar_svg, line_svg
 
 SRC = str(Path(pbitsim.__file__).resolve().parent.parent)
 
@@ -375,6 +377,43 @@ def test_every_private_helper_is_used_in_the_package():
     assert [helper for helper in helpers if helper[1] not in named] == []
 
 
+def test_each_runner_name_has_one_definition():
+    # _load binds every function and class a module defines with setdefault,
+    # so a name two modules define would resolve by the order of the loads
+    owners = {}
+    for module in ("cli", *cli._MODULES):
+        loaded = importlib.import_module(f"pbitsim.{module}")
+        for name, value in vars(loaded).items():
+            if callable(value) and getattr(value, "__module__", None) == loaded.__name__:
+                owners.setdefault(name, []).append(module)
+    assert owners["transfer_curve"] == ["device"] and owners["main"] == ["cli"]
+    assert {name: found for name, found in owners.items() if len(found) > 1} == {}
+
+
+_LOOKUP_PROBE = """
+import json, sys
+import pbitsim.cli as cli
+report = {}
+for name in ("__wrapped__", "no_such_name"):
+    try:
+        getattr(cli, name)
+    except AttributeError as exc:
+        report[name] = [str(exc), "numpy" in sys.modules]
+report["bound"] = cli.LevelOverflow is sys.modules["pbitsim.analysis"].LevelOverflow
+print(json.dumps(report))
+"""
+
+
+def test_dunder_lookup_imports_nothing():
+    # any other name imports the seven modules before it is refused
+    report = _fresh(_LOOKUP_PROBE)
+    assert report == {
+        "__wrapped__": ["module 'pbitsim.cli' has no attribute '__wrapped__'", False],
+        "no_such_name": ["module 'pbitsim.cli' has no attribute 'no_such_name'", True],
+        "bound": True,
+    }
+
+
 _BLAS_RESULTS = """
 import hashlib, json
 import numpy as np
@@ -440,6 +479,8 @@ BAD_CONFIGS = [
     # stands for the native trace
     ("smtj-trace", None, ["--input-trace", None, "--duration-s", "1e-6", "--dt-s", "1"]),
     ("transfer", None, ["--v-inputs", "0.6,0.61", "--v-start-V", "0.7", "--v-stop-V", "0.1"]),
+    # a config file that is not JSON cannot be read
+    ("gate", '{"sweeps": 10', []),
 ]
 
 
@@ -682,6 +723,8 @@ def test_in_range_config_runs_or_exits_3(voltage_export, command, data):
         ["transfer", "--sample-interval-s", 1.7e308],
         ["transfer", "--n-per-point", 1, "--sample-interval-s", 1e306],
         ["gate", "--i0", 1e308, "--sweeps", 10],
+        ["field-sweep", "--r-parallel-ohm", 1e307],
+        ["field-sweep", "--r-parallel-ohm", 1e308, "--tmr", 1],
     ],
 )
 def test_overflowing_count_exits_3(tmp_path, capsys, argv):
@@ -689,6 +732,21 @@ def test_overflowing_count_exits_3(tmp_path, capsys, argv):
     assert run(*argv, "--out-dir", out) == 3
     err = capsys.readouterr().err
     assert err.startswith("pbitsim: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+# Junctions that no finite, positive k_factor matches: the geometric mean of
+# the two resistances is subnormal at the first, so k_factor is inf, and near
+# 1e308 at the second, where a 5e299 V gate drive makes it 0.
+@pytest.mark.parametrize(
+    "flags", [["--r-parallel-ohm", 1e-320], ["--r-parallel-ohm", 1e308, "--v-dd-V", 1e300]]
+)
+def test_unmatchable_junction_exits_2(tmp_path, capsys, flags):
+    out = tmp_path / "out"
+    assert run("transfer", *flags, "--out-dir", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("pbitsim: config error: resistance-matched k_factor ")
+    assert err.count("\n") == 1
     assert not out.exists()
 
 
@@ -1293,6 +1351,12 @@ class TestSvgRendering:
         ) == 0
         svg = (tmp_path / "g" / "and_c1_histogram.svg").read_text()
         assert svg.startswith("<svg ") and svg.count("<rect") >= 9
+
+    @pytest.mark.parametrize("render", [line_svg, bar_svg], ids=["line", "bar"])
+    @pytest.mark.parametrize("x,y", [([1.0, 2.0], [1.0]), ([], [])], ids=["unequal", "empty"])
+    def test_mismatched_lengths_rejected(self, render, x, y):
+        with pytest.raises(ValueError, match="must be equal-length and non-empty"):
+            render(x, y, "title", "x", "y")
 
     def test_transfer_curve_svg(self, tmp_path):
         assert run(

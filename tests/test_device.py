@@ -126,13 +126,21 @@ class TestCalibrateMatch:
         assert nmos_resistance(cal, 0.6) == pytest.approx(target, rel=1e-12)
         assert target == pytest.approx(29.53e3, rel=1e-3)
 
-    def test_large_junction_keeps_a_finite_k_factor(self):
+    @pytest.mark.parametrize(
+        "r_parallel,v_dd,rel",
+        [(1e160, 1.2, 1e-15), (1e-200, 1.2, 1e-15), (1e300, 1e10, 1e-13)],
+        ids=["product-overflows", "product-underflows", "subnormal-k-factor"],
+    )
+    def test_large_junction_keeps_a_finite_k_factor(self, r_parallel, v_dd, rel):
         # r_parallel * r_antiparallel overflows a double above about 1.25e154
-        p = PbitParams(smtj=SmtjParams(r_parallel=1e160))
+        # and is 0 below about 2e-162; at 1e300 and v_dd 1e10 the target
+        # resistance times the gate drive overflows too, and the k_factor is
+        # subnormal, so it keeps fewer bits
+        p = PbitParams(smtj=SmtjParams(r_parallel=r_parallel), v_dd=v_dd)
         cal = calibrate_match(p)
         assert math.isfinite(cal.k_factor) and cal.k_factor > 0
         target = (Decimal(p.smtj.r_parallel) * Decimal(r_antiparallel(p.smtj))).sqrt()
-        assert nmos_resistance(cal, 0.6) == pytest.approx(float(target), rel=1e-15)
+        assert nmos_resistance(cal, v_dd / 2) == pytest.approx(float(target), rel=rel)
 
     def test_zero_tmr_matches_parallel(self):
         p = PbitParams(smtj=SmtjParams(tmr=0.0))
@@ -379,3 +387,16 @@ class TestSerialization:
             InverterParams(v_switch=0.6, gain=0.5)
         with pytest.raises(ValueError):
             PbitParams(inverter=InverterParams(v_switch=1.3), v_dd=1.2)
+
+    @pytest.mark.parametrize(
+        "make,message",
+        [
+            (lambda: NmosParams(v_threshold=-0.1), "v_threshold must be >= 0"),
+            (lambda: NmosParams(k_factor=0.0), "k_factor must be > 0"),
+            (lambda: PbitParams(v_dd=0.0), "v_dd must be > 0"),
+        ],
+        ids=["nmos-threshold", "nmos-k-factor", "v-dd"],
+    )
+    def test_circuit_params_validated(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()

@@ -91,6 +91,12 @@ class TestInverterPower:
         assert p < 1e-10  # static divider power dominates measured devices
 
 
+    @pytest.mark.parametrize("args", [(-1e-15, 1.2, 1e9), (1e-15, -1.2, 1e9), (1e-15, 1.2, -1.0)])
+    def test_negative_input_rejected(self, args):
+        with pytest.raises(ValueError, match="inputs must be non-negative"):
+            inverter_dynamic_power(*args)
+
+
 class TestProjection:
     def test_total_in_band(self):
         point = projection_p4()

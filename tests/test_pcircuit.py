@@ -613,6 +613,35 @@ class TestStructures:
         with pytest.raises(ValueError):
             clamp(and_gate(1.0), 2, 2)
 
+    @pytest.mark.parametrize(
+        "make,error,message",
+        [
+            (lambda: PCircuit(j=np.zeros(2), h=np.zeros(2), i0=1.0), ValueError,
+             "J must be square"),
+            (lambda: PCircuit(j=np.zeros((2, 2)), h=np.zeros(3), i0=1.0), ValueError,
+             "h must match J in size"),
+            (lambda: PCircuit(j=np.zeros((2, 2)), h=np.zeros(2), i0=1.0, clamps={2: 1}),
+             ValueError, "clamp on unknown node 2"),
+            (lambda: PCircuit(j=np.zeros((2, 2)), h=np.zeros(2), i0=1.0, clamps={0: 0}),
+             ValueError, "clamp value must be -1 or \\+1"),
+            (lambda: EmpiricalActivation([0.6], [0.5], 1.2, 0.01), ValueError,
+             "at least two points"),
+            (lambda: EmpiricalActivation([0.6, 0.6], [0.4, 0.5], 1.2, 0.01), ValueError,
+             "strictly increasing"),
+            (lambda: gibbs_run(and_gate(1.0), IdealTanh(), 0), ValueError,
+             "n_sweeps must be >= 1"),
+            (lambda: gibbs_run(and_gate(1.0), IdealTanh(), 10, burn_in=-1), ValueError,
+             "burn_in must be >= 0"),
+            (lambda: boltzmann_exact(clamp(clamp(clamp(and_gate(1.0), 0, 1), 1, 1), 2, 1)),
+             AllClamped, "no free node"),
+        ],
+        ids=["j-not-square", "h-size", "clamp-node", "clamp-value", "table-one-point",
+             "table-not-increasing", "no-sweeps", "negative-burn-in", "all-clamped-oracle"],
+    )
+    def test_invalid_input_rejected(self, make, error, message):
+        with pytest.raises(error, match=message):
+            make()
+
     def test_histogram_csv_lists_all_words(self):
         hist = gibbs_run(clamp(and_gate(2.0), 2, 1), IdealTanh(), 2000, seed=1)
         buf = io.StringIO()

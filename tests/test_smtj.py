@@ -271,6 +271,12 @@ class TestSwitchingTimesPinned:
         assert hashlib.sha256(bytes([state0]) + times.tobytes()).hexdigest() == digest
 
 
+    @pytest.mark.parametrize("duration", [0.0, -1.0])
+    def test_duration_must_be_positive(self, duration):
+        with pytest.raises(ValueError, match="duration must be > 0"):
+            switching_times(SLOW, SLOW.b_5050, duration, np.random.default_rng(0))
+
+
 class TestFieldSweepJobs:
     def test_workers_match_serial(self):
         grid = FAST.b_5050 + 0.05e-3 * np.arange(-2, 3)
