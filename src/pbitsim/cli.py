@@ -42,6 +42,8 @@ from .params import (
     PCircuitError,
     SmtjParams,
     calibrate_match,
+    check_bound,
+    config_bounds,
     r_antiparallel,
 )
 
@@ -188,15 +190,18 @@ FLAGS = {
     "activation": {"choices": ["ideal", "empirical"]},
 }
 
-# Each key's own range, checked for every key a command takes, whichever of
-# its modes uses it.  Rules that join two keys stay with their runner, which
-# checks them in either mode too.
-_POSITIVE = {
-    "duration_s", "dt_s", "point_duration_s", "b_step_T", "v_step_V",
-    "sample_interval_s", "i0", "bias_current_A",
+# Each key's own range, (">", low) or (">=", low), checked for every key a
+# command takes, whichever of its modes uses it: the run keys' here, the
+# device keys' from their parameter dataclass fields.  Rules that join two
+# keys stay with their runner, which checks them in either mode too.
+BOUNDS = {
+    **dict.fromkeys(("duration_s", "dt_s", "point_duration_s", "b_step_T", "v_step_V",
+                     "sample_interval_s", "i0", "bias_current_A"), (">", 0)),
+    # numpy seeds take non-negative integers only
+    "seed": (">=", 0), "burn_in": (">=", 0),
+    **dict.fromkeys(("jobs", "n_per_point", "sweeps"), (">=", 1)),
+    **config_bounds(SmtjParams, NmosParams, InverterParams, PbitParams),
 }
-# numpy seeds take non-negative integers only
-_AT_LEAST = {"seed": 0, "burn_in": 0, "jobs": 1, "n_per_point": 1, "sweeps": 1}
 
 
 def _kind(key: str, default) -> type:
@@ -208,8 +213,8 @@ def _resolve(defaults: dict, config_path, overrides: dict) -> tuple[dict, set]:
     """Defaults < config file < flags, and the set of keys the file or a flag gave.
 
     Each value must be of its key's kind, among its FLAGS choices and inside
-    its _POSITIVE or _AT_LEAST bound; where the default is None, null passes
-    too.  An out_dir that exists must be a directory.
+    its BOUNDS; where the default is None, null passes too.  An out_dir that
+    exists must be a directory.
     """
     cfg = dict(defaults)
     given = set()
@@ -239,10 +244,8 @@ def _resolve(defaults: dict, config_path, overrides: dict) -> tuple[dict, set]:
         choices = FLAGS.get(key, {}).get("choices")
         if choices is not None and value not in choices:
             raise ConfigError(f"{key} must be one of {choices}, got {value!r}")
-        if key in _POSITIVE and not value > 0:
-            raise ConfigError(f"{key} must be > 0, got {value!r}")
-        if key in _AT_LEAST and not value >= _AT_LEAST[key]:
-            raise ConfigError(f"{key} must be >= {_AT_LEAST[key]}, got {value!r}")
+        if key in BOUNDS:
+            check_bound(key, value, BOUNDS[key], ConfigError)
     out = Path(cfg["out_dir"])
     _require(out.is_dir() or not out.exists(), f"out_dir {out} is not a directory")
     return cfg, given
@@ -317,19 +320,12 @@ def _grid(start: float, stop: float, step: float, name: str) -> list:
     return [start + k * step for k in range(math.floor(steps) + 1)]
 
 
-def _smtj_from_cfg(cfg: dict) -> SmtjParams:
-    try:
-        return SmtjParams.from_json(cfg)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 # ---------------------------------------------------------------- smtj-trace
 
 
 def cmd_smtj_trace(cfg: dict, given: set) -> dict:
     _load("analysis", "smtj")
-    smtj = _smtj_from_cfg(cfg)
+    smtj = SmtjParams.from_json(cfg)
     _require(cfg["duration_s"] >= cfg["dt_s"], "duration_s must cover one sample")
     if cfg["input_trace"] is not None:
         _require(Path(cfg["input_trace"]).is_file(), f"no such trace: {cfg['input_trace']}")
@@ -383,7 +379,7 @@ def cmd_smtj_trace(cfg: dict, given: set) -> dict:
 
 def cmd_field_sweep(cfg: dict, given: set) -> dict:
     _load("analysis", "smtj")
-    smtj = _smtj_from_cfg(cfg)
+    smtj = SmtjParams.from_json(cfg)
     _require(cfg["b_max_T"] > cfg["b_min_T"], "b_max_T must exceed b_min_T")
     _require(cfg["point_duration_s"] >= cfg["dt_s"], "point_duration_s must cover one sample")
     grid = _grid(cfg["b_min_T"], cfg["b_max_T"], cfg["b_step_T"], "field")
@@ -428,14 +424,13 @@ def cmd_field_sweep(cfg: dict, given: set) -> dict:
 
 
 def _pbit_from_cfg(cfg: dict) -> PbitParams:
-    smtj = _smtj_from_cfg(cfg)
     v_dd = cfg["v_dd_V"]
     v_switch = cfg["inverter_v_switch_V"]
     gain = cfg["inverter_gain"]
     k_factor = cfg["nmos_k_factor_A_per_V2"]
     try:
         p = PbitParams(
-            smtj=smtj,
+            smtj=SmtjParams.from_json(cfg),
             inverter=InverterParams(
                 v_dd / 2 if v_switch is None else v_switch, IDEAL_GAIN if gain is None else gain
             ),

@@ -64,7 +64,14 @@ def drain_voltage(p: PbitParams, v_in: float, state: MtjState) -> float:
     _check_input(p, v_in)
     r_mtj = r_antiparallel(p.smtj) if state is MtjState.ANTIPARALLEL else p.smtj.r_parallel
     r_n = nmos_resistance(p.nmos, v_in)
-    return p.v_dd * r_n / (r_n + r_mtj)
+    top, total = p.v_dd * r_n, r_n + r_mtj
+    if math.isfinite(top) and math.isfinite(total):
+        return top / total
+    # a resistance or product past the largest double: the ratio first
+    v_d = p.v_dd / (1.0 + r_mtj / r_n)
+    if math.isnan(v_d):
+        raise ValueError(f"junction and channel are both open at v_in={v_in} V")
+    return v_d
 
 
 def output_voltage(p: PbitParams, v_in: float, state: MtjState) -> float:
@@ -130,7 +137,11 @@ def _transfer_point(
     p: PbitParams, n: int, sample_interval: float, b: float, seed, i: int, v: float
 ) -> TransferPoint:
     samples = sample_output(p, v, n, sample_interval, b, _point_seed(seed, i))
-    return TransferPoint(v_in=v, samples=samples, mean_v_out=float(samples.mean()))
+    with np.errstate(over="ignore"):
+        mean = float(samples.mean())
+    if math.isinf(mean):
+        raise ValueError(f"mean output at v_in={v} V overflows a double")
+    return TransferPoint(v_in=v, samples=samples, mean_v_out=mean)
 
 
 def fit_sigmoid(v_in, means, v_dd: float) -> tuple[float, float]:

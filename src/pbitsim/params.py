@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 
 class AnalysisError(Exception):
@@ -27,6 +27,33 @@ class PCircuitError(Exception):
 OCC_WINDOW_DIVISOR = 8.0
 
 
+def check_bound(name: str, value, bound: tuple, error: type = ValueError) -> None:
+    """Raise error unless value lies inside bound, (">", low) or (">=", low); NaN never does."""
+    op, low = bound
+    if not (value > low if op == ">" else value >= low):
+        raise error(f"{name} must be {op} {low}, got {value}")
+
+
+def _param(default, key: str, bound: tuple | None = None):
+    """A parameter field and its one record: its config key and any bound of its own."""
+    return field(default=default, metadata={"key": key, "bound": bound})
+
+
+class _Bounded:
+    """Base of the parameter dataclasses: each field with a bound is checked as one is made."""
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            if f.metadata.get("bound"):
+                check_bound(f.name, getattr(self, f.name), f.metadata["bound"])
+
+
+def config_bounds(*classes) -> dict:
+    """Config key -> bound, for every bounded field of the parameter classes."""
+    return {f.metadata["key"]: f.metadata["bound"]
+            for cls in classes for f in fields(cls) if f.metadata.get("bound")}
+
+
 class MtjState(enum.IntEnum):
     """Magnetization configuration. PARALLEL is the low-resistance state."""
 
@@ -35,7 +62,7 @@ class MtjState(enum.IntEnum):
 
 
 @dataclass(frozen=True)
-class SmtjParams:
+class SmtjParams(_Bounded):
     """Physical parameters of one stochastic MTJ.
 
     Defaults describe the slow reference device: 27.6 kOhm base resistance,
@@ -50,34 +77,19 @@ class SmtjParams:
         window_width: field span of the stochastic window, tesla.
     """
 
-    r_parallel: float = 27.6e3
-    tmr: float = 0.145
-    tau_mean: float = 4.2e-3
-    b_5050: float = -7.22e-3
-    window_width: float = 0.6e-3
-
-    def __post_init__(self) -> None:
-        if self.r_parallel <= 0:
-            raise ValueError(f"r_parallel must be > 0, got {self.r_parallel}")
-        # tmr == 0 is allowed as the degenerate single-level device
-        if self.tmr < 0:
-            raise ValueError(f"tmr must be >= 0, got {self.tmr}")
-        if self.tau_mean <= 0:
-            raise ValueError(f"tau_mean must be > 0, got {self.tau_mean}")
-        if self.window_width <= 0:
-            raise ValueError(f"window_width must be > 0, got {self.window_width}")
+    r_parallel: float = _param(27.6e3, "r_parallel_ohm", (">", 0))
+    # tmr == 0 is allowed as the degenerate single-level device
+    tmr: float = _param(0.145, "tmr", (">=", 0))
+    tau_mean: float = _param(4.2e-3, "tau_mean_s", (">", 0))
+    b_5050: float = _param(-7.22e-3, "b_5050_T")
+    window_width: float = _param(0.6e-3, "window_width_T", (">", 0))
 
     def to_json(self) -> dict:
-        return {key: getattr(self, name) for name, key in _SMTJ_KEYS.items()}
+        return {f.metadata["key"]: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_json(cls, obj: dict) -> "SmtjParams":
-        return cls(**{name: obj[key] for name, key in _SMTJ_KEYS.items()})
-
-
-# SmtjParams field -> its config and JSON key
-_SMTJ_KEYS = {"r_parallel": "r_parallel_ohm", "tmr": "tmr", "tau_mean": "tau_mean_s",
-              "b_5050": "b_5050_T", "window_width": "window_width_T"}
+        return cls(**{f.name: obj[f.metadata["key"]] for f in fields(cls)})
 
 
 def r_antiparallel(p: SmtjParams) -> float:
@@ -92,6 +104,8 @@ def occupancy_ap(p: SmtjParams, b: float) -> float:
     with increasing b.
     """
     scale = p.window_width / OCC_WINDOW_DIVISOR
+    if scale == 0:  # a window whose scale underflows is a step at b_5050
+        return 0.5 if b == p.b_5050 else float(b < p.b_5050)
     return _expit(-(b - p.b_5050) / scale)
 
 
@@ -124,43 +138,32 @@ IDEAL_GAIN = math.inf  # sentinel: inverter acts as an ideal comparator
 
 
 @dataclass(frozen=True)
-class NmosParams:
+class NmosParams(_Bounded):
     """Triode-region NMOS stand-in: threshold voltage and transconductance scale."""
 
-    v_threshold: float = 0.4
-    k_factor: float = 5e-4
-
-    def __post_init__(self) -> None:
-        if self.v_threshold < 0:
-            raise ValueError("v_threshold must be >= 0")
-        if self.k_factor <= 0:
-            raise ValueError("k_factor must be > 0")
+    v_threshold: float = _param(0.4, "nmos_v_threshold_V", (">=", 0))
+    k_factor: float = _param(5e-4, "nmos_k_factor_A_per_V2", (">", 0))
 
 
 @dataclass(frozen=True)
-class InverterParams:
+class InverterParams(_Bounded):
     """Inverter switch point and steepness; gain=inf selects the ideal comparator."""
 
     v_switch: float
-    gain: float = IDEAL_GAIN
-
-    def __post_init__(self) -> None:
-        if self.gain < 1:
-            raise ValueError("gain must be >= 1")
+    gain: float = _param(IDEAL_GAIN, "inverter_gain", (">=", 1))
 
 
 @dataclass(frozen=True)
-class PbitParams:
+class PbitParams(_Bounded):
     """Full 3T-1MTJ circuit parameterization."""
 
     smtj: SmtjParams = field(default_factory=SmtjParams)
     nmos: NmosParams = field(default_factory=NmosParams)
     inverter: InverterParams | None = None
-    v_dd: float = 1.2
+    v_dd: float = _param(1.2, "v_dd_V", (">", 0))
 
     def __post_init__(self) -> None:
-        if self.v_dd <= 0:
-            raise ValueError("v_dd must be > 0")
+        super().__post_init__()
         if self.inverter is None:
             object.__setattr__(self, "inverter", InverterParams(v_switch=self.v_dd / 2))
         if not 0 < self.inverter.v_switch < self.v_dd:
@@ -172,7 +175,8 @@ def nmos_resistance(n: NmosParams, v_gs: float) -> float:
     1 / (k * (v_gs - v_threshold)) in triode above it."""
     if v_gs <= n.v_threshold:
         return NMOS_OFF_RESISTANCE
-    return 1.0 / (n.k_factor * (v_gs - n.v_threshold))
+    conductance = n.k_factor * (v_gs - n.v_threshold)
+    return 1.0 / conductance if conductance else math.inf  # an underflow is an open channel
 
 
 def calibrate_match(p: PbitParams) -> NmosParams:

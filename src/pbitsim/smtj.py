@@ -402,14 +402,16 @@ def switching_times(
     # draws the stream of exponential(1.0), and the pinned tests hold the bytes.
     pieces = []
     t_end = 0.0
-    while t_end < duration:
-        times = rng.standard_exponential(chunk)
-        times[0::2] *= first
-        times[1::2] *= second
-        np.cumsum(times, out=times)
-        times += t_end
-        pieces.append(times)
-        t_end = times[-1]
+    # a dwell that overflows a double is one the run never leaves
+    with np.errstate(over="ignore"):
+        while t_end < duration:
+            times = rng.standard_exponential(chunk)
+            times[0::2] *= first
+            times[1::2] *= second
+            np.cumsum(times, out=times)
+            times += t_end
+            pieces.append(times)
+            t_end = times[-1]
     # only the last chunk reaches duration; its times ascend
     pieces[-1] = pieces[-1][: np.searchsorted(pieces[-1], duration)]
     return state0, pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
@@ -427,13 +429,14 @@ def states_at(state0: MtjState, transitions: np.ndarray, n: int, dt: float) -> n
     """
     if transitions.size > n:
         flips = np.searchsorted(transitions, np.arange(n) * dt, side="right")
-    else:
-        # ceil(t / dt) is at most one step off the first instant at or after t
-        k = np.ceil(transitions / dt).astype(np.int64)
-        k += k * dt < transitions
-        k -= (k - 1) * dt >= transitions
-        flips = np.bincount(k[k < n], minlength=n).cumsum()
-    return ((flips + int(state0)) & 1).astype(np.uint8)
+        return ((flips + int(state0)) & 1).astype(np.uint8)
+    # ceil(t / dt) is at most one step off the first instant at or after t
+    k = np.ceil(transitions / dt).astype(np.int64)
+    k += k * dt < transitions
+    k -= (k - 1) * dt >= transitions
+    # the state holds from each transition's first instant to the next one's
+    runs = np.diff(np.minimum(k, n), prepend=0, append=n)
+    return np.repeat(np.resize(np.array([state0, 1 - state0], dtype=np.uint8), runs.size), runs)
 
 
 def sample_trajectory(

@@ -507,11 +507,13 @@ OUT_OF_RANGE = {
     "duration_s": 0, "dt_s": 0, "point_duration_s": 0, "b_step_T": 0, "v_step_V": 0,
     "sample_interval_s": 0, "i0": 0, "bias_current_A": 0,
     "seed": -1, "burn_in": -1, "jobs": 0, "n_per_point": 0, "sweeps": 0,
+    "r_parallel_ohm": 0, "tmr": -1, "tau_mean_s": 0, "window_width_T": 0, "v_dd_V": 0,
+    "nmos_v_threshold_V": -1, "nmos_k_factor_A_per_V2": 0, "inverter_gain": 0,
 }
 
 
 def test_every_bound_has_its_case():
-    assert set(OUT_OF_RANGE) == cli._POSITIVE | set(cli._AT_LEAST)
+    assert set(OUT_OF_RANGE) == set(cli.BOUNDS)
 
 
 def _exits_2_naming(tmp_path, capsys, key, argv):
@@ -520,7 +522,9 @@ def _exits_2_naming(tmp_path, capsys, key, argv):
     err = capsys.readouterr().err
     assert err.startswith(f"pbitsim: config error: {key} must be ")
     assert "Traceback" not in err
+    assert ", got " in err and err.count("\n") == 1
     assert not out.exists()
+    return err
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])
@@ -532,11 +536,16 @@ def _exits_2_naming(tmp_path, capsys, key, argv):
 def test_out_of_range_value_exits_2(tmp_path, capsys, command, key, source):
     value = OUT_OF_RANGE[key]
     if source == "flag":
-        args = ["--" + key.replace("_", "-"), value]
+        flag = cli.FLAGS.get(key, {}).get("flag", "--" + key.replace("_", "-"))
+        args = [flag, value]
+        # the flag parses to the key's kind, as the line then prints it
+        value = cli._kind(key, cli._COMMANDS[command][0][key])(value)
     else:
         (tmp_path / "cfg.json").write_text(json.dumps({key: value}))
         args = ["--config", tmp_path / "cfg.json"]
-    _exits_2_naming(tmp_path, capsys, key, [command, *args])
+    op, low = cli.BOUNDS[key]
+    err = _exits_2_naming(tmp_path, capsys, key, [command, *args])
+    assert err == f"pbitsim: config error: {key} must be {op} {low}, got {value}\n"
 
 
 @pytest.fixture
@@ -631,6 +640,16 @@ def _grid(draw, start, step_max, min_points, max_points):
     return start, step, start + (points - 0.5) * step
 
 
+def _junction(draw, duration):
+    """The sMTJ keys of a run of the given junction time: the mean dwell longer
+    than 1e-4 of it, so the run holds fewer than 12500 dwells."""
+    return {"r_parallel_ohm": draw(_ANY_POSITIVE),
+            "tmr": draw(st.floats(min_value=0.0, allow_infinity=False)),
+            "tau_mean_s": draw(st.floats(min_value=1e-4 * duration, exclude_min=True,
+                                             allow_infinity=False)),
+            "window_width_T": draw(_ANY_POSITIVE)}
+
+
 @st.composite
 def _in_range_config(draw, command):
     cfg = {"seed": draw(st.integers(min_value=0, max_value=2**128))}
@@ -640,21 +659,37 @@ def _in_range_config(draw, command):
         cfg["jobs"] = draw(st.integers(1, 4))
     if command == "smtj-trace":
         dt = draw(_INTERVAL)
-        cfg.update(r_parallel_ohm=draw(_ANY_POSITIVE),
-                   tmr=draw(st.floats(min_value=0.0, allow_infinity=False)),
-                   dt_s=dt, duration_s=dt * draw(st.integers(1, 5000)),
+        cfg.update(dt_s=dt, duration_s=dt * draw(st.integers(1, 5000)),
                    bias_current_A=draw(_ANY_POSITIVE),
                    input_trace=draw(st.sampled_from([None, "voltage export"])))
+        cfg.update(_junction(draw, cfg["duration_s"]))
     elif command == "field-sweep":
         dt = draw(_INTERVAL)
         cfg["dt_s"], cfg["point_duration_s"] = dt, dt * draw(st.integers(1, 1000))
         cfg["b_min_T"], cfg["b_step_T"], cfg["b_max_T"] = _grid(
             draw, draw(st.floats(-0.0095, -0.0075)), 3e-4, 2, 12)
+        cfg.update(_junction(draw, cfg["point_duration_s"]))
     elif command == "transfer":
         # the grid stays inside [0, v_dd]
-        cfg["v_start_V"], cfg["v_step_V"], cfg["v_stop_V"] = _grid(
-            draw, draw(st.floats(0.0, 0.3)), 0.2, 1, 5)
-        cfg.update(n_per_point=draw(st.integers(1, 20)), sample_interval_s=draw(_INTERVAL))
+        start, step, stop = _grid(draw, draw(st.floats(0.0, 0.3)), 0.2, 1, 5)
+        cfg["v_start_V"], cfg["v_step_V"], cfg["v_stop_V"] = start, step, stop
+        cfg.update(n_per_point=draw(st.integers(1, 20)), sample_interval_s=draw(_INTERVAL),
+                   v_dd_V=draw(st.floats(min_value=stop, allow_infinity=False)),
+                   inverter_gain=draw(st.one_of(
+                       st.none(), st.floats(min_value=1.0, allow_infinity=False))),
+                   nmos_k_factor_A_per_V2=draw(st.one_of(st.none(), _ANY_POSITIVE)))
+        cfg.update(_junction(draw, cfg["n_per_point"] * cfg["sample_interval_s"]))
+        if cfg["nmos_k_factor_A_per_V2"] is None:
+            # calibration needs gate drive at v_dd / 2 and gives a finite
+            # k_factor; where it would not, the config gives one
+            cfg["nmos_v_threshold_V"] = cfg["v_dd_V"] / 2 * draw(
+                st.floats(0.0, 1.0, exclude_max=True))
+            try:
+                cli._pbit_from_cfg({**cli.TRANSFER_DEFAULTS, **cfg})
+            except cli.ConfigError:
+                cfg["nmos_k_factor_A_per_V2"] = draw(_ANY_POSITIVE)
+        else:
+            cfg["nmos_v_threshold_V"] = draw(st.floats(min_value=0.0, allow_infinity=False))
     elif command == "gate":
         cfg.update(i0=draw(_ANY_POSITIVE), sweeps=draw(st.integers(1, 2000)),
                    burn_in=draw(st.integers(0, 200)), gate=draw(st.sampled_from(["and", "or"])),
@@ -686,7 +721,7 @@ _SAMPLING_WARNING = re.compile(
 def test_in_range_config_runs_or_exits_3(voltage_export, command, data):
     cfg = data.draw(_in_range_config(command))
     defaults = cli._COMMANDS[command][0]
-    assert set(cfg) >= {k for k in defaults if k in cli._POSITIVE or k in cli._AT_LEAST}
+    assert set(cfg) >= {k for k in defaults if k in cli.BOUNDS}
     if cfg.get("input_trace"):
         cfg["input_trace"] = voltage_export
     with tempfile.TemporaryDirectory() as tmp, \

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 from decimal import Decimal
@@ -54,6 +55,10 @@ class TestNmosResistance:
         assert r2 == pytest.approx(r1 / 2, rel=1e-9)
 
 
+    def test_underflowing_conductance_is_an_open_channel(self):
+        assert nmos_resistance(NmosParams(v_threshold=0.0, k_factor=5e-324), 0.5) == math.inf
+
+
 class TestDrainVoltage:
     def test_matched_divider_half_rail(self):
         smtj = SmtjParams(tmr=0.0)
@@ -76,6 +81,27 @@ class TestDrainVoltage:
         assert round(v_p, 3) == 0.620
         assert round(v_ap, 3) == 0.579
         assert v_ap < v_p
+
+    @pytest.mark.parametrize(
+        "smtj,nmos,v_dd,expected",
+        [
+            # an open channel leaves the drain at the rail
+            (SmtjParams(), NmosParams(0.0, 5e-324), 1.2, 1.2),
+            # an open junction leaves it at ground
+            (SmtjParams(r_parallel=1e308, tmr=1.0), NmosParams(), 1.2, 0.0),
+            # v_dd * r_n overflows with the channel off, the ratio does not
+            (SmtjParams(r_parallel=1e10, tmr=0.0), NmosParams(1.0), 1e300, 0.5e300),
+        ],
+        ids=["open-channel", "open-junction", "rail-times-channel"],
+    )
+    def test_divider_past_a_double(self, smtj, nmos, v_dd, expected):
+        p = PbitParams(smtj=smtj, nmos=nmos, v_dd=v_dd)
+        assert drain_voltage(p, 0.5, MtjState.PARALLEL) == pytest.approx(expected)
+
+    def test_open_junction_and_channel_raise(self):
+        p = PbitParams(smtj=SmtjParams(r_parallel=1e308, tmr=1.0), nmos=NmosParams(0.0, 5e-324))
+        with pytest.raises(ValueError, match="both open"):
+            drain_voltage(p, 0.5, MtjState.ANTIPARALLEL)
 
     def test_input_range_checked(self):
         p = PbitParams()
@@ -370,6 +396,31 @@ class TestSigmoidFitMatchesCurveFit:
         with pytest.raises(FitDiverged, match="did not converge"):
             fit_sigmoid(v, 1.2 * expit((v - 0.6) / 0.01), 1.2)
 
+    # a sum of squares past the largest double is a divergence, not an overflow
+    @pytest.mark.parametrize(
+        "v_dd,shape,error",
+        [
+            (1e150, "logistic", None),
+            (1e300, "logistic", "non-finite residuals"),
+            (1.7e308, "logistic", "non-finite residuals"),
+            # the start is 1e-9 V off: its cost is finite, but |y|^2, which
+            # judges convergence, is not
+            (1e160, "offset", "non-finite residuals"),
+            # the fit steepens toward the step until J^T J overflows
+            (1e153, "step", "normal equations overflow"),
+        ],
+    )
+    def test_huge_rail_fits_or_diverges(self, v_dd, shape, error):
+        v = np.linspace(0.5, 0.7, 21)
+        center = 0.6 + 1e-9 if shape == "offset" else 0.6
+        y = v_dd * expit((v - center) / 0.01)
+        if shape == "step":
+            y = np.where(v < 0.605, 0.0, v_dd)
+        if error is not None:
+            with pytest.raises(FitDiverged, match=error):
+                fit_sigmoid(v, y, v_dd)
+        else:
+            assert fit_sigmoid(v, y, v_dd) == pytest.approx((0.6, 0.01), rel=1e-6)
 
 class TestSerialization:
     def test_curve_csv_headers(self):
@@ -400,3 +451,34 @@ class TestSerialization:
     def test_circuit_params_validated(self, make, message):
         with pytest.raises(ValueError, match=message):
             make()
+
+
+# Every bounded field of the four parameter dataclasses, as its record gives it.
+BOUNDED_FIELDS = [
+    (cls, f) for cls in (SmtjParams, NmosParams, InverterParams, PbitParams)
+    for f in dataclasses.fields(cls) if f.metadata.get("bound")
+]
+
+
+@pytest.mark.parametrize(
+    "cls,f", BOUNDED_FIELDS, ids=[f"{cls.__name__}.{f.name}" for cls, f in BOUNDED_FIELDS]
+)
+def test_bounded_field_rejects_nan_and_its_bound(cls, f):
+    required = {"v_switch": 0.6} if cls is InverterParams else {}
+    op, low = f.metadata["bound"]
+    outside = [math.nan, low if op == ">" else low - 1]
+    for value in outside:
+        with pytest.raises(ValueError, match=f"^{f.name} must be {op} {low}, got "):
+            cls(**required, **{f.name: value})
+    # the bound of a >= field is inside it
+    if op == ">=":
+        assert getattr(cls(**required, **{f.name: low}), f.name) == low
+
+
+class TestTransferPointMean:
+    def test_overflowing_mean_raises(self):
+        # a channel on hard pulls the drain low, so both samples sit at the
+        # 1.7e308 V rail, and their sum passes the largest double
+        p = PbitParams(nmos=NmosParams(v_threshold=0.0, k_factor=1.0), v_dd=1.7e308)
+        with pytest.raises(ValueError, match="overflows a double"):
+            _transfer_point(p, 2, 0.1, p.smtj.b_5050, 1, 0, 0.5)

@@ -85,6 +85,11 @@ class TestOccupancy:
         assert occupancy_ap(SLOW, SLOW.b_5050 + 10 * SLOW.window_width) < 1e-4
         assert occupancy_ap(SLOW, SLOW.b_5050 - 10 * SLOW.window_width) > 1 - 1e-4
 
+    def test_window_under_its_scale_is_a_step(self):
+        # window_width / 8 underflows to 0: no division by zero
+        p = SmtjParams(window_width=5e-324)
+        assert [occupancy_ap(p, p.b_5050 + d) for d in (-1e-3, 0.0, 1e-3)] == [1.0, 0.5, 0.0]
+
     def test_window_edges(self):
         # fluctuation visible between -7.5 and -6.9 mT for the 0.6 mT window
         assert occupancy_ap(SLOW, -7.5e-3) >= 0.9
@@ -232,6 +237,8 @@ class TestStatesAt:
     # more transitions than instants, on and between the grid instants
     @example(case=(2, 0.1, np.array([0.0, 0.05, 0.1, 0.1, 0.15])), state0=MtjState.PARALLEL)
     @example(case=(1, 1e-9, np.array([0.0, 0.0])), state0=MtjState.ANTIPARALLEL)
+    # two transitions inside one interval, and one past the last instant
+    @example(case=(4, 0.1, np.array([0.12, 0.15, 0.5])), state0=MtjState.ANTIPARALLEL)
     def test_matches_searchsorted_rule(self, case, state0):
         n, dt, t = case
         # a transition at t is counted by every instant np.arange(n) * dt >= t
@@ -270,6 +277,11 @@ class TestSwitchingTimesPinned:
         assert times.dtype == np.float64 and times.size == count
         assert hashlib.sha256(bytes([state0]) + times.tobytes()).hexdigest() == digest
 
+
+    def test_dwell_past_a_double_never_ends(self):
+        # the scaled draws and their running sum overflow: no warning, no switch
+        p = SmtjParams(tau_mean=8e307)
+        assert switching_times(p, p.b_5050, 1.0, np.random.default_rng(0))[1].size == 0
 
     @pytest.mark.parametrize("duration", [0.0, -1.0])
     def test_duration_must_be_positive(self, duration):
